@@ -55,7 +55,6 @@ from .metrics import (
     MetricsReport,
     PitchErrorCounts,
     accurately_processed,
-    cents_error,
     evaluate_utterances,
     fpe,
     gpe,
@@ -112,7 +111,6 @@ __all__ = [
     "assemble_features",
     "backward",
     "build_frame_table",
-    "cents_error",
     "composite_loss",
     "compute_norm_stats",
     "cosine_distance",

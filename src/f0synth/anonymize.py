@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .featureio import Dataset, FormatError, Gender, read_feature_file, write_feature_file
+from .featureio import (Dataset, FormatError, Gender, check_id, read_csv,
+                        read_feature_file, write_feature_file)
 
 POOL_COLUMNS = ("speaker_id", "gender", "xvec_path", "f0_mean", "f0_std")
 DEFAULT_N_FURTHEST = 200
@@ -52,6 +53,7 @@ class PoolEntry:
     f0_std: float
 
     def __post_init__(self) -> None:
+        check_id("speaker_id", self.speaker_id)
         object.__setattr__(self, "xvec",
                            np.ascontiguousarray(self.xvec, dtype=np.float64))
         if self.xvec.ndim != 1:
@@ -136,9 +138,6 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - float(a @ b) / (na * nb)
 
 
-DISTANCES = {"cosine": cosine_distance}
-
-
 def select_pseudo_speaker(
     pool: SpeakerPool,
     source_xvec: np.ndarray,
@@ -147,12 +146,11 @@ def select_pseudo_speaker(
     n: int = DEFAULT_N_FURTHEST,
     k: int = DEFAULT_K_AVERAGED,
     seed=0,
-    distance=cosine_distance,
 ) -> PseudoSpeaker:
     """Furthest-N, sample-K, average.
 
     The candidate set is the ``n`` target-gender entries with the largest
-    distance from the source embedding (ties by ascending speaker_id);
+    cosine distance from the source embedding (ties by ascending speaker_id);
     ``k`` are drawn from it uniformly without replacement using the
     seeded generator, and their embeddings and F0 statistics are
     arithmetically averaged.
@@ -168,7 +166,7 @@ def select_pseudo_speaker(
             f"pool has {len(candidates)} {target.value} entries, need n={n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    dists = [distance(source_xvec, e.xvec) for e in candidates]
+    dists = [cosine_distance(source_xvec, e.xvec) for e in candidates]
     order = sorted(range(len(candidates)),
                    key=lambda i: (-dists[i], candidates[i].speaker_id))
     furthest = [candidates[i] for i in order[:n]]
@@ -214,16 +212,6 @@ def pool_from_dataset(dataset: Dataset) -> SpeakerPool:
             f0_std=stats[speaker_id].std,
         ))
     return SpeakerPool(tuple(entries))
-
-
-def pseudo_target_stats(pool: SpeakerPool, chosen_ids) -> F0Stats:
-    """Arithmetic mean of the chosen members' means and stds."""
-    ids = list(chosen_ids)
-    if not ids:
-        raise ValueError("chosen_ids must be non-empty")
-    members = [pool[i] for i in ids]
-    return F0Stats(float(np.mean([m.f0_mean for m in members])),
-                   float(np.mean([m.f0_std for m in members])))
 
 
 def shift_scale_f0(f0, src: F0Stats, tgt: F0Stats, domain: str = "linear") -> np.ndarray:
@@ -298,28 +286,16 @@ def write_pool(pool: SpeakerPool, out_dir: str | Path,
 
 def load_pool(path: str | Path) -> SpeakerPool:
     """Read a pool CSV; relative xvec paths resolve against its directory."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or tuple(lines[0].strip().split(",")) != POOL_COLUMNS:
-        raise FormatError(f"{path}: pool header must be {','.join(POOL_COLUMNS)}")
     entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != len(POOL_COLUMNS):
-            raise FormatError(f"{path}:{lineno}: expected {len(POOL_COLUMNS)} fields")
-        speaker_id, gender_tok, xvec_rel, mean_tok, std_tok = fields
-        xvec_path = Path(xvec_rel)
-        if not xvec_path.is_absolute():
-            xvec_path = path.parent / xvec_path
+    for where, fields in read_csv(Path(path), POOL_COLUMNS, ("xvec_path",)):
+        speaker_id, gender_tok, xvec_path, mean_tok, std_tok = fields
         xvec = read_feature_file(xvec_path)
         if xvec.ndim != 1:
             raise FormatError(f"{xvec_path}: expected rank-1 embedding")
         try:
             mean, std = float(mean_tok), float(std_tok)
         except ValueError:
-            raise FormatError(f"{path}:{lineno}: bad f0 stats") from None
+            raise FormatError(f"{where}: bad f0 stats") from None
         entries.append(PoolEntry(speaker_id=speaker_id,
                                  gender=Gender.parse(gender_tok),
                                  xvec=xvec, f0_mean=mean, f0_std=std))

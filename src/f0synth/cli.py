@@ -9,7 +9,10 @@ Configuration is a flat key-value text file with dotted section keys::
     model.hidden_sizes = 64,32,16,8
 
 ``--set key=value`` overrides any config key; ``--seed`` and
-``--out-dir`` are shortcuts for the corresponding keys.  Every command
+``--out-dir`` are shortcuts for the corresponding keys.  The ``synth.*``,
+``model.*`` and ``train.*`` keys are the int, float and int-list fields
+of SynthSpec, ModelConfig and TrainConfig; a key left unset keeps the
+dataclass default.  Every command
 is deterministic given its config, never mutates input files, and
 confines outputs to the configured output directory.
 
@@ -22,8 +25,10 @@ Outputs per command (under out_dir):
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,23 +60,7 @@ RHO_FLAG_THRESHOLD = 0.3
 
 ANON_LOG_COLUMNS = ("utt_id", "mode", "chosen_ids", "tgt_mean", "tgt_std")
 
-KNOWN_KEYS = {
-    "seed", "out_dir",
-    "synth.n_speakers_per_gender", "synth.utts_per_speaker",
-    "synth.frames_per_utt", "synth.d_bn", "synth.d_xv",
-    "synth.base_f0_female", "synth.base_f0_male", "synth.weight_scale",
-    "synth.voicing_threshold", "synth.noise_std_cents",
-    "model.hidden_sizes", "model.dropout",
-    "train.manifest", "train.val_manifest", "train.alpha", "train.lr",
-    "train.batch_size", "train.patience_lr", "train.lr_factor",
-    "train.patience_stop", "train.max_epochs",
-    "eval.manifest", "eval.checkpoint", "eval.pred_manifest",
-    "eval.dataset_name",
-    "anonymize.manifest", "anonymize.pool", "anonymize.checkpoint",
-    "anonymize.method", "anonymize.mode", "anonymize.gender_mode",
-    "anonymize.n", "anonymize.k", "anonymize.distance",
-    "anonymize.shift_scale_domain",
-}
+BASE_F0_KEYS = {Gender.F: "synth.base_f0_female", Gender.M: "synth.base_f0_male"}
 
 
 class ConfigError(ValueError):
@@ -127,6 +116,45 @@ class RunConfig:
         return Path(self.require("out_dir"))
 
 
+SECTIONS = {"synth": SynthSpec, "model": ModelConfig, "train": TrainConfig}
+_GETTERS = {int: RunConfig.get_int, float: RunConfig.get_float,
+            list[int]: RunConfig.get_int_list}
+
+
+def _keyed_fields(cls) -> dict:
+    """Field name -> typed getter for every field of ``cls`` that has a key.
+
+    ``seed`` comes from the top-level key and ``input_dim`` from the data.
+    """
+    hints = typing.get_type_hints(cls)
+    return {f.name: _GETTERS[hints[f.name]] for f in dataclasses.fields(cls)
+            if f.name not in ("seed", "input_dim") and hints[f.name] in _GETTERS}
+
+
+SECTION_FIELDS = {section: _keyed_fields(cls) for section, cls in SECTIONS.items()}
+
+KNOWN_KEYS = {f"{section}.{name}"
+              for section, fields in SECTION_FIELDS.items() for name in fields} | {
+    "seed", "out_dir", *BASE_F0_KEYS.values(),
+    "train.manifest", "train.val_manifest",
+    "eval.manifest", "eval.checkpoint", "eval.pred_manifest",
+    "eval.dataset_name",
+    "anonymize.manifest", "anonymize.pool", "anonymize.checkpoint",
+    "anonymize.method", "anonymize.mode", "anonymize.gender_mode",
+    "anonymize.n", "anonymize.k", "anonymize.shift_scale_domain",
+}
+
+
+def section_config(config: RunConfig, section: str, **fixed):
+    """Build a section's dataclass from its keys that are set, plus ``fixed``.
+
+    Fields whose key is unset keep the dataclass default.
+    """
+    values = {name: value for name, get in SECTION_FIELDS[section].items()
+              if (value := get(config, f"{section}.{name}", None)) is not None}
+    return SECTIONS[section](**values, **fixed)
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Parse the flat key=value format; '#' starts a comment line."""
     values: dict[str, str] = {}
@@ -173,25 +201,11 @@ def build_config(
 # command bodies (pure-ish: config in, result out, files under out_dir)
 # ---------------------------------------------------------------------------
 
-def _synth_spec(config: RunConfig) -> SynthSpec:
-    return SynthSpec(
-        n_speakers_per_gender=config.get_int("synth.n_speakers_per_gender", 4),
-        utts_per_speaker=config.get_int("synth.utts_per_speaker", 5),
-        frames_per_utt=config.get_int("synth.frames_per_utt", 200),
-        d_bn=config.get_int("synth.d_bn", 16),
-        d_xv=config.get_int("synth.d_xv", 8),
-        base_f0={Gender.F: config.get_float("synth.base_f0_female", 190.0),
-                 Gender.M: config.get_float("synth.base_f0_male", 120.0)},
-        weight_scale=config.get_float("synth.weight_scale", 0.25),
-        voicing_threshold=config.get_float("synth.voicing_threshold", 0.0),
-        noise_std_cents=config.get_float("synth.noise_std_cents", 0.0),
-        seed=config.seed,
-    )
-
-
 def cmd_synthgen(config: RunConfig) -> dict:
     """Generate train/validation/test splits of one world, plus a pool file."""
-    spec = _synth_spec(config)
+    default_f0 = SynthSpec().base_f0
+    base_f0 = {g: config.get_float(key, default_f0[g]) for g, key in BASE_F0_KEYS.items()}
+    spec = section_config(config, "synth", base_f0=base_f0, seed=config.seed)
     out_dir = config.out_dir
     manifests: dict[str, Path] = {}
     train_ds: Dataset | None = None
@@ -207,27 +221,6 @@ def cmd_synthgen(config: RunConfig) -> dict:
     return {"manifests": manifests, "pool": pool_path}
 
 
-def _model_config(config: RunConfig, input_dim: int) -> ModelConfig:
-    return ModelConfig(
-        input_dim=input_dim,
-        hidden_sizes=config.get_int_list("model.hidden_sizes", [512, 256, 128, 64]),
-        dropout=config.get_float("model.dropout", 0.0),
-    )
-
-
-def _train_config(config: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        alpha=config.get_float("train.alpha", 28.112),
-        lr=config.get_float("train.lr", 0.0003),
-        batch_size=config.get_int("train.batch_size", 262144),
-        patience_lr=config.get_int("train.patience_lr", 5),
-        lr_factor=config.get_float("train.lr_factor", 0.2),
-        patience_stop=config.get_int("train.patience_stop", 10),
-        max_epochs=config.get_int("train.max_epochs", 200),
-        seed=config.seed,
-    )
-
-
 def cmd_train(config: RunConfig) -> dict:
     """Train on a manifest pair; write checkpoint.f0md and history.csv."""
     train_ds = load_manifest(config.require("train.manifest"), role="train")
@@ -235,8 +228,8 @@ def cmd_train(config: RunConfig) -> dict:
     if not len(train_ds) or not len(val_ds):
         raise ValueError("empty dataset")
     table = build_frame_table(train_ds)
-    model_config = _model_config(config, input_dim=table.rows.shape[1])
-    train_config = _train_config(config)
+    model_config = section_config(config, "model", input_dim=table.rows.shape[1])
+    train_config = section_config(config, "train", seed=config.seed)
     params, history = train(table, val_ds, model_config, train_config)
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -323,11 +316,6 @@ def cmd_anonymize(config: RunConfig) -> dict:
     gender_mode = config.get("anonymize.gender_mode", "same")
     n = config.get_int("anonymize.n", anon.DEFAULT_N_FURTHEST)
     k = config.get_int("anonymize.k", anon.DEFAULT_K_AVERAGED)
-    distance_name = config.get("anonymize.distance", "cosine")
-    if distance_name not in anon.DISTANCES:
-        raise ConfigError(f"unknown distance {distance_name!r} "
-                          f"(available: {sorted(anon.DISTANCES)})")
-    distance = anon.DISTANCES[distance_name]
     domain = config.get("anonymize.shift_scale_domain", "linear")
 
     params = None
@@ -350,7 +338,7 @@ def cmd_anonymize(config: RunConfig) -> dict:
     for i, utt in enumerate(sources.utterances):
         pseudo = anon.select_pseudo_speaker(
             pool, utt.xvec, utt.gender, gender_mode=gender_mode,
-            n=n, k=k, seed=[seed, i], distance=distance)
+            n=n, k=k, seed=[seed, i])
         synth_xvec, export_xvec = anon.assemble_synthesis_inputs(
             mode, utt.xvec, pseudo)
         if method == "synthesis":
@@ -407,44 +395,28 @@ def _common_options(fn):
     return fn
 
 
-def _run(body, config_path, overrides, seed, out_dir):
-    try:
-        config = build_config(config_path, overrides, seed, out_dir)
-        body(config)
-    except (ValueError, OSError, KeyError) as exc:
-        message = str(exc) or exc.__class__.__name__
-        click.echo(f"error: {message}", err=True)
-        sys.exit(1)
-
-
 @click.group()
 @click.version_option(package_name="f0synth")
 def main():
     """Framewise F0 synthesis and modification toolkit."""
 
 
-@main.command("synthgen", help="Generate a synthetic corpus and pool file.")
-@_common_options
-def synthgen_command(config_path, overrides, seed, out_dir):
-    _run(cmd_synthgen, config_path, overrides, seed, out_dir)
+def _add_command(name: str, body, help_text: str) -> None:
+    """Register ``body`` as a subcommand that exits 1 with ``error: ...`` on bad input."""
+    @main.command(name, help=help_text)
+    @_common_options
+    def command(config_path, overrides, seed, out_dir):
+        try:
+            body(build_config(config_path, overrides, seed, out_dir))
+        except (ValueError, OSError, KeyError) as exc:
+            click.echo(f"error: {str(exc) or exc.__class__.__name__}", err=True)
+            sys.exit(1)
 
 
-@main.command("train", help="Train the F0 synthesis network.")
-@_common_options
-def train_command(config_path, overrides, seed, out_dir):
-    _run(cmd_train, config_path, overrides, seed, out_dir)
-
-
-@main.command("eval", help="Evaluate predictions against a truth manifest.")
-@_common_options
-def eval_command(config_path, overrides, seed, out_dir):
-    _run(cmd_eval, config_path, overrides, seed, out_dir)
-
-
-@main.command("anonymize", help="Anonymize utterances against an embedding pool.")
-@_common_options
-def anonymize_command(config_path, overrides, seed, out_dir):
-    _run(cmd_anonymize, config_path, overrides, seed, out_dir)
+_add_command("synthgen", cmd_synthgen, "Generate a synthetic corpus and pool file.")
+_add_command("train", cmd_train, "Train the F0 synthesis network.")
+_add_command("eval", cmd_eval, "Evaluate predictions against a truth manifest.")
+_add_command("anonymize", cmd_anonymize, "Anonymize utterances against an embedding pool.")
 
 
 if __name__ == "__main__":

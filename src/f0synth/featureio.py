@@ -18,7 +18,7 @@ Feature file format (bit-exact, little-endian):
 
 Manifest format: CSV with header
 ``utt_id,speaker_id,gender,f0_path,bn_path,xvec_path``; relative paths
-are resolved against the manifest's directory.
+are resolved against the manifest's directory.  Ids must pass ``check_id``.
 """
 
 from __future__ import annotations
@@ -44,6 +44,13 @@ DATASET_ROLES = ("train", "validation", "test")
 
 class FormatError(ValueError):
     """A feature file, manifest, or checkpoint does not decode cleanly."""
+
+
+def check_id(kind: str, value: str) -> None:
+    """Reject an id that cannot be one CSV field and one file name."""
+    if not value or any(c in value for c in "/\\,\n\r"):
+        raise ValueError(f"{kind} {value!r} must be non-empty and contain no "
+                         f"'/', '\\', ',' or line break")
 
 
 class Gender(Enum):
@@ -80,6 +87,8 @@ class Utterance:
     xvec: np.ndarray
 
     def __post_init__(self) -> None:
+        check_id("utt_id", self.utt_id)
+        check_id("speaker_id", self.speaker_id)
         self.f0 = np.ascontiguousarray(self.f0, dtype=np.float32)
         self.bn = np.ascontiguousarray(self.bn, dtype=np.float32)
         self.xvec = np.ascontiguousarray(self.xvec, dtype=np.float32)
@@ -159,11 +168,29 @@ class Dataset:
 # binary feature files
 # ---------------------------------------------------------------------------
 
+def unpack_header(path: Path, data: bytes, magic: bytes, version: int,
+                  n_fields: int, kind: str) -> list[int]:
+    """Check a binary file's magic and u32 version; return the u32 fields after them."""
+    if len(data) < 8 + 4 * n_fields or data[:4] != magic:
+        raise FormatError(f"{path}: bad magic, not a {kind}")
+    found, *fields = struct.unpack_from(f"<{n_fields + 1}I", data, 4)
+    if found != version:
+        raise FormatError(f"{path}: unsupported {kind} version {found}")
+    return fields
+
+
+def require_bytes(path: Path, data: bytes, end: int, part: str) -> None:
+    if len(data) < end:
+        raise FormatError(f"{path}: truncated {part}")
+
+
 def write_feature_file(path: str | Path, values: np.ndarray) -> None:
-    """Write a rank-1 or rank-2 float array in the binary feature format."""
+    """Write a rank-1 or rank-2 finite float array in the binary feature format."""
     arr = np.ascontiguousarray(values, dtype="<f4")
     if arr.ndim not in (1, 2):
         raise ValueError(f"feature rank must be 1 or 2, got {arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: non-finite value, not written")
     header = FEATURE_MAGIC + struct.pack("<II", FEATURE_VERSION, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     Path(path).write_bytes(header + arr.tobytes(order="C"))
@@ -176,17 +203,12 @@ def read_feature_file(path: str | Path) -> np.ndarray:
     """
     path = Path(path)
     data = path.read_bytes()
-    if len(data) < 12 or data[:4] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a feature file")
-    version, rank = struct.unpack_from("<II", data, 4)
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported format version {version}")
+    (rank,) = unpack_header(path, data, FEATURE_MAGIC, FEATURE_VERSION, 1, "feature file")
     if rank not in (1, 2):
         raise FormatError(f"{path}: bad rank {rank}")
-    if len(data) < 12 + 4 * rank:
-        raise FormatError(f"{path}: truncated header")
-    dims = struct.unpack_from(f"<{rank}I", data, 12)
     offset = 12 + 4 * rank
+    require_bytes(path, data, offset, "header")
+    dims = struct.unpack_from(f"<{rank}I", data, 12)
     count = int(math.prod(dims))
     expected = offset + 4 * count
     if len(data) != expected:
@@ -239,6 +261,30 @@ def write_utterance(
 # manifests
 # ---------------------------------------------------------------------------
 
+def read_csv(path: Path, columns: tuple[str, ...],
+             path_columns: tuple[str, ...] = ()):
+    """Yield ``(location, fields)`` for each non-blank row of an unquoted CSV.
+
+    The first line must be exactly ``columns``.  Fields are stripped; the
+    ones named in ``path_columns`` become Paths, relative ones resolved
+    against the CSV's directory.  ``location`` is ``path:lineno``.
+    """
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or tuple(lines[0].strip().split(",")) != columns:
+        raise FormatError(f"{path}: header must be {','.join(columns)}")
+    path_index = [columns.index(c) for c in path_columns]
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != len(columns):
+            raise FormatError(f"{path}:{lineno}: expected {len(columns)} fields")
+        for i in path_index:
+            p = Path(fields[i])
+            fields[i] = p if p.is_absolute() else path.parent / p
+        yield f"{path}:{lineno}", fields
+
+
 def load_manifest(
     path: str | Path,
     *,
@@ -256,27 +302,13 @@ def load_manifest(
     d_bn, d_xv : expected feature dimensions.  When omitted they are taken
         from the first utterance; every utterance must agree.
     """
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or tuple(lines[0].strip().split(",")) != MANIFEST_COLUMNS:
-        raise FormatError(f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}")
-    base = path.parent
     utterances: list[Utterance] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != len(MANIFEST_COLUMNS):
-            raise FormatError(f"{path}:{lineno}: expected {len(MANIFEST_COLUMNS)} fields")
-        utt_id, speaker_id, gender_tok, f0_p, bn_p, xvec_p = (f.strip() for f in fields)
+    rows = read_csv(Path(path), MANIFEST_COLUMNS, ("f0_path", "bn_path", "xvec_path"))
+    for where, (utt_id, speaker_id, gender_tok, *paths) in rows:
         gender = Gender.parse(gender_tok)
-        paths = []
-        for p in (f0_p, bn_p, xvec_p):
-            p = Path(p)
-            paths.append(p if p.is_absolute() else base / p)
         for p in paths:
             if not p.is_file():
-                raise FileNotFoundError(f"{path}:{lineno}: missing feature file {p}")
+                raise FileNotFoundError(f"{where}: missing feature file {p}")
         utt = read_utterance(*paths, utt_id=utt_id, speaker_id=speaker_id, gender=gender)
         if d_bn is None:
             d_bn = utt.bn.shape[1]
@@ -324,65 +356,36 @@ class FrameTable:
     ``rows[r]`` is ``[xvec, bn-row]`` for one frame; ``target_logf0[r]`` is
     ln(F0 Hz) where voiced and a 0.0 sentinel where unvoiced (the ``voiced``
     mask is authoritative, regression must never read unvoiced targets).
-    ``utt_index``/``frame_index`` keep per-row provenance through shuffles.
     """
 
     rows: np.ndarray
     target_logf0: np.ndarray
     voiced: np.ndarray
-    utt_index: np.ndarray
-    frame_index: np.ndarray
-    utt_ids: list[str]
 
     @property
     def n_rows(self) -> int:
         return self.rows.shape[0]
 
-    def provenance(self) -> list[tuple[str, int]]:
-        """Per-row (utt_id, frame index) pairs, in current row order."""
-        return [(self.utt_ids[u], int(f))
-                for u, f in zip(self.utt_index, self.frame_index)]
 
+def build_frame_table(dataset: Dataset) -> FrameTable:
+    """Concatenate all utterance frames into a FrameTable.
 
-def build_frame_table(dataset: Dataset, seed: int | None = None) -> FrameTable:
-    """Concatenate all utterance frames into a FrameTable, optionally shuffled.
-
-    With ``seed`` given, rows are permuted by a seeded uniform shuffle;
-    provenance arrays are permuted in lockstep.  Without it, rows keep
-    utterance order, frames in order within each utterance.
+    Rows keep utterance order, frames in order within each utterance.
     """
     if not dataset.utterances:
         raise ValueError("cannot build a frame table from an empty dataset")
-    blocks, targets, masks, uidx, fidx = [], [], [], [], []
-    utt_ids = []
-    for i, utt in enumerate(dataset.utterances):
-        utt_ids.append(utt.utt_id)
+    blocks, targets, masks = [], [], []
+    for utt in dataset.utterances:
         blocks.append(utt.features())
         f0 = utt.f0.astype(np.float64)
         voiced = f0 > 0
         targets.append(np.where(voiced, np.log(np.where(voiced, f0, 1.0)), 0.0))
         masks.append(voiced)
-        uidx.append(np.full(utt.n_frames, i, dtype=np.int32))
-        fidx.append(np.arange(utt.n_frames, dtype=np.int32))
-    table = FrameTable(
+    return FrameTable(
         rows=np.vstack(blocks),
         target_logf0=np.concatenate(targets),
         voiced=np.concatenate(masks),
-        utt_index=np.concatenate(uidx),
-        frame_index=np.concatenate(fidx),
-        utt_ids=utt_ids,
     )
-    if seed is not None:
-        perm = np.random.default_rng(seed).permutation(table.n_rows)
-        table = FrameTable(
-            rows=table.rows[perm],
-            target_logf0=table.target_logf0[perm],
-            voiced=table.voiced[perm],
-            utt_index=table.utt_index[perm],
-            frame_index=table.frame_index[perm],
-            utt_ids=utt_ids,
-        )
-    return table
 
 
 @dataclass
@@ -411,9 +414,6 @@ class NormStats:
 
     def normalize_inputs(self, raw: np.ndarray) -> np.ndarray:
         return (np.asarray(raw, dtype=np.float64) - self.input_mean) / self.input_std
-
-    def denormalize_inputs(self, normed: np.ndarray) -> np.ndarray:
-        return np.asarray(normed, dtype=np.float64) * self.input_std + self.input_mean
 
     def normalize_logf0(self, logf0):
         return (logf0 - self.logf0_mean) / self.logf0_std

@@ -174,19 +174,6 @@ def accurately_processed(pred, truth) -> float:
     return counts.accurately_processed
 
 
-def cents_error(pred_hz, truth_hz):
-    """Signed pitch interval 1200*log2(pred/truth) in cents.
-
-    Accepts scalars or arrays; every input must be strictly positive.
-    """
-    p = np.asarray(pred_hz, dtype=np.float64)
-    t = np.asarray(truth_hz, dtype=np.float64)
-    if (p <= 0).any() or (t <= 0).any():
-        raise ValueError("cents_error requires strictly positive frequencies")
-    out = 1200.0 * np.log2(p / t)
-    return float(out) if out.ndim == 0 else out
-
-
 def pitch_correlation(a, b) -> float | None:
     """Pearson correlation over frames voiced in both trajectories.
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .featureio import FormatError, NormStats
+from .featureio import FormatError, NormStats, require_bytes, unpack_header
 
 CHECKPOINT_MAGIC = b"F0MD"
 CHECKPOINT_VERSION = 1
@@ -274,16 +274,12 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig]:
     """Read a checkpoint back; inverse of save_checkpoint, bit-exact."""
     path = Path(path)
     data = path.read_bytes()
-    if len(data) < 16 or data[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a model checkpoint")
-    version, n_layers, input_dim = struct.unpack_from("<III", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    n_layers, input_dim = unpack_header(path, data, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                        2, "model checkpoint")
     if n_layers < 1 or input_dim < 1:
         raise FormatError(f"{path}: corrupt header")
     off = 16
-    if len(data) < off + 4 * n_layers + 8:
-        raise FormatError(f"{path}: truncated header")
+    require_bytes(path, data, off + 4 * n_layers + 8, "header")
     dims = list(struct.unpack_from(f"<{n_layers}I", data, off))
     off += 4 * n_layers
     (dropout,) = struct.unpack_from("<d", data, off)
@@ -292,8 +288,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig]:
     def take(count: int) -> np.ndarray:
         nonlocal off
         end = off + 8 * count
-        if len(data) < end:
-            raise FormatError(f"{path}: truncated payload")
+        require_bytes(path, data, end, "payload")
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=off).copy()
         off = end
         return arr

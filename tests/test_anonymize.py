@@ -11,7 +11,6 @@ from f0synth.anonymize import (
     cosine_distance,
     load_pool,
     pool_from_dataset,
-    pseudo_target_stats,
     select_pseudo_speaker,
     shift_scale_f0,
     speaker_f0_stats,
@@ -183,18 +182,6 @@ class TestSelectPseudoSpeaker:
         with pytest.raises(ValueError, match="k must"):
             select_pseudo_speaker(toy_pool(), np.array([1.0, 0.0]), Gender.F, n=2, k=0)
 
-    def test_pluggable_distance(self):
-        def euclidean(a, b):
-            return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-        pool = SpeakerPool((
-            entry("near", Gender.F, [1.0, 0.0]),
-            entry("far", Gender.F, [100.0, 0.0]),
-        ))
-        # cosine sees both as distance 0; euclidean puts "far" furthest
-        pseudo = select_pseudo_speaker(pool, np.array([1.0, 0.0]), Gender.F,
-                                       n=1, k=1, seed=0, distance=euclidean)
-        assert pseudo.chosen_ids == ("far",)
-
 
 class TestSpeakerStats:
     def test_hand_arithmetic(self):
@@ -236,27 +223,25 @@ class TestSpeakerStats:
 
 
 class TestPseudoTargetStats:
+    """The pseudo speaker's target stats average the chosen members' stats."""
+
     def test_hand_arithmetic(self):
         pool = SpeakerPool((entry("a", Gender.F, [1.0], mean=100.0, std=10.0),
                             entry("b", Gender.F, [2.0], mean=200.0, std=20.0)))
-        stats = pseudo_target_stats(pool, ["a", "b"])
-        assert stats == F0Stats(150.0, 15.0)
+        pseudo = select_pseudo_speaker(pool, np.array([1.0]), Gender.F, n=2, k=2)
+        assert pseudo.stats == F0Stats(150.0, 15.0)
 
     def test_single_member(self):
-        pool = toy_pool()
-        assert pseudo_target_stats(pool, ["c"]) == F0Stats(300.0, 30.0)
+        # c is the furthest from [1, 0], so n=k=1 picks it alone
+        pseudo = select_pseudo_speaker(toy_pool(), np.array([1.0, 0.0]), Gender.F, n=1, k=1)
+        assert pseudo.stats == F0Stats(300.0, 30.0)
 
     def test_order_irrelevant(self):
         pool = toy_pool()
-        assert pseudo_target_stats(pool, ["a", "c"]) == pseudo_target_stats(pool, ["c", "a"])
-
-    def test_unknown_id_rejected(self):
-        with pytest.raises(KeyError):
-            pseudo_target_stats(toy_pool(), ["a", "zz"])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pseudo_target_stats(toy_pool(), [])
+        reverse = SpeakerPool(pool.entries[::-1])
+        src = np.array([0.3, 0.9])
+        assert (select_pseudo_speaker(pool, src, Gender.F, n=3, k=3).stats
+                == select_pseudo_speaker(reverse, src, Gender.F, n=3, k=3).stats)
 
 
 class TestShiftScale:
@@ -378,6 +363,16 @@ class TestPoolFile:
         p.write_text("speaker,sex\n")
         with pytest.raises(FormatError, match="header"):
             load_pool(p)
+
+    def test_escaping_speaker_id_rejected(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        path = write_pool(toy_pool(), out)
+        path.write_text(path.read_text().replace("\na,", "\n../../escaped,", 1))
+        with pytest.raises(ValueError, match="speaker_id"):
+            load_pool(path)
+        with pytest.raises(ValueError, match="speaker_id"):
+            write_pool(SpeakerPool((entry("../../escaped", Gender.F, [1.0]),)), out)
+        assert not list(tmp_path.rglob("escaped*"))
 
     def test_bad_stats_rejected(self, tmp_path):
         pool = toy_pool()

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from f0synth.cli import (
+    KNOWN_KEYS,
     ConfigError,
     RunConfig,
     build_config,
@@ -15,9 +18,12 @@ from f0synth.cli import (
     cmd_train,
     main,
     parse_config_text,
+    section_config,
 )
 from f0synth.featureio import NormStats, load_manifest, read_feature_file
-from f0synth.model import ModelParams, load_checkpoint, predict_f0, save_checkpoint
+from f0synth.model import ModelConfig, ModelParams, load_checkpoint, predict_f0, save_checkpoint
+from f0synth.synthgen import SynthSpec
+from f0synth.training import TrainConfig
 
 
 def config_for(out_dir, **values):
@@ -115,6 +121,40 @@ class TestConfigParsing:
         config = RunConfig({"seed": "x", "out_dir": "d"})
         with pytest.raises(ConfigError, match="not an integer"):
             config.get_int("seed", 0)
+
+
+SECTION_CLASSES = {"synth": SynthSpec, "model": ModelConfig, "train": TrainConfig}
+
+
+class TestConfigDefaults:
+    def test_no_section_keys_gives_dataclass_defaults(self):
+        config = RunConfig({"out_dir": "x"})
+        assert section_config(config, "synth", base_f0=SynthSpec().base_f0,
+                              seed=config.seed) == SynthSpec()
+        assert section_config(config, "model", input_dim=7) == ModelConfig(input_dim=7)
+        assert section_config(config, "train", seed=config.seed) == TrainConfig()
+
+    def test_every_number_field_has_a_key_that_reaches_it(self):
+        fixed = {"synth": {}, "model": {"input_dim": 7}, "train": {}}
+        for section, cls in SECTION_CLASSES.items():
+            default = cls(**fixed[section])
+            hints = typing.get_type_hints(cls)
+            for f in dataclasses.fields(cls):
+                kind = hints[f.name]
+                if f.name in ("seed", "input_dim") or kind not in (int, float, list[int]):
+                    continue
+                key = f"{section}.{f.name}"
+                assert key in KNOWN_KEYS
+                old = getattr(default, f.name)
+                if kind is int:
+                    new, text = old + 1, str(old + 1)
+                elif kind is float:
+                    new = old / 2 if old else 0.125
+                    text = repr(new)
+                else:
+                    new, text = [3, 2], "3,2"
+                built = section_config(RunConfig({key: text}), section, **fixed[section])
+                assert getattr(built, f.name) == new, key
 
 
 class TestSynthgenCommand:
@@ -399,9 +439,30 @@ class TestAnonymizeCommand:
         with pytest.raises(ConfigError, match="method"):
             cmd_anonymize(anon_config(tmp_path, world_dir, trained_dir,
                                       **{"anonymize.method": "vocoder"}))
-        with pytest.raises(ConfigError, match="distance"):
-            cmd_anonymize(anon_config(tmp_path, world_dir, trained_dir,
-                                      **{"anonymize.distance": "plda"}))
+        # selection always uses cosine distance; the key no longer exists
+        with pytest.raises(ConfigError, match="unknown config keys.*anonymize.distance"):
+            anon_config(tmp_path, world_dir, trained_dir,
+                        **{"anonymize.distance": "cosine"})
+
+    def test_escaping_utt_id_rejected(self, tmp_path, world_dir):
+        test_dir = world_dir / "test"
+        lines = (test_dir / "manifest.csv").read_text().splitlines()
+        rows = [lines[0]]
+        for line in lines[1:]:
+            fields = line.split(",")
+            fields[3:] = [str(test_dir / p) for p in fields[3:]]
+            rows.append(",".join(fields))
+        rows[1] = "../../escaped" + rows[1][rows[1].index(","):]
+        manifest = tmp_path / "in" / "manifest.csv"
+        manifest.parent.mkdir()
+        manifest.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "a" / "b" / "out"
+        with pytest.raises(ValueError, match="utt_id"):
+            cmd_anonymize(config_for(out, **{"anonymize.manifest": manifest,
+                                             "anonymize.pool": world_dir / "pool.csv",
+                                             "anonymize.method": "shift_scale",
+                                             "anonymize.n": 2, "anonymize.k": 2}))
+        assert not list(tmp_path.rglob("escaped*"))
 
 
 def zero_params(input_dim):

@@ -101,6 +101,15 @@ class TestFeatureFile:
         with pytest.raises(ValueError):
             write_feature_file(tmp_path / "x", np.zeros((2, 2, 2)))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e39])
+    def test_non_finite_write_rejected_before_open(self, tmp_path, bad):
+        # 1e39 is finite in float64 but overflows the float32 payload
+        p = tmp_path / "bad.f0"
+        with pytest.raises(ValueError, match="bad.f0"):
+            write_feature_file(p, np.array([100.0, bad]))
+        assert not p.exists()
+
 
 class TestUtterance:
     def test_misaligned_frames_rejected(self):
@@ -115,6 +124,13 @@ class TestUtterance:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             make_utt(xvec=np.array([np.nan, 1.0], dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", ["", "../../escaped", "a\\b", "a,b", "a\nb", "a\rb"])
+    def test_ids_unfit_for_csv_or_file_name_rejected(self, bad):
+        with pytest.raises(ValueError, match="utt_id"):
+            make_utt(utt_id=bad)
+        with pytest.raises(ValueError, match="speaker_id"):
+            make_utt(speaker_id=bad)
 
     def test_voiced_mask_zero_is_unvoiced(self):
         utt = make_utt(f0=np.array([0.0, 90.0, 0.0], dtype=np.float32))
@@ -207,22 +223,6 @@ class TestFrameTable:
         assert table.voiced.tolist() == [True, False, True]
         assert table.target_logf0[0] == pytest.approx(np.log(100.0))
         assert table.target_logf0[1] == 0.0  # unvoiced sentinel
-        assert table.provenance() == [("u0", 0), ("u0", 1), ("u1", 0)]
-
-    def test_seeded_shuffle_is_reproducible_permutation(self):
-        ds = Dataset([make_utt("u0", f0=np.linspace(100, 200, 7).astype(np.float32),
-                               bn=np.arange(14, dtype=np.float32).reshape(7, 2))])
-        a = build_frame_table(ds, seed=5)
-        b = build_frame_table(ds, seed=5)
-        c = build_frame_table(ds, seed=6)
-        assert np.array_equal(a.rows, b.rows)
-        assert not np.array_equal(a.rows, c.rows)
-        plain = build_frame_table(ds)
-        assert sorted(map(tuple, a.rows.tolist())) == sorted(map(tuple, plain.rows.tolist()))
-        # provenance rides along with the shuffle
-        for row, (uid, fi) in zip(a.rows, a.provenance()):
-            assert row.tolist() == plain.rows[fi].tolist()
-            assert uid == "u0"
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -258,7 +258,6 @@ class TestNormStats:
         raw = np.array([[3.0, 10.0]])
         normed = stats.normalize_inputs(raw)
         assert normed.tolist() == [[1.0, 2.0]]
-        assert np.allclose(stats.denormalize_inputs(normed), raw)
         assert stats.normalize_logf0(5.25) == pytest.approx(0.5)
         assert stats.denormalize_logf0(0.5) == pytest.approx(5.25)
 

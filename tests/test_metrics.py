@@ -4,7 +4,6 @@ import pytest
 from f0synth.metrics import (
     ConfusionCounts,
     accurately_processed,
-    cents_error,
     evaluate_utterances,
     format_correlation,
     format_percent,
@@ -150,33 +149,6 @@ class TestAccuratelyProcessed:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             accurately_processed(np.array([]), np.array([]))
-
-
-class TestCentsError:
-    def test_identity_zero(self):
-        assert cents_error(220.0, 220.0) == 0.0
-
-    def test_gross_threshold_ratio(self):
-        assert cents_error(120.0, 100.0) == pytest.approx(315.641, abs=1e-3)
-
-    def test_fine_threshold_ratio(self):
-        assert cents_error(105.0, 100.0) == pytest.approx(84.467, abs=1e-3)
-
-    def test_antisymmetry(self):
-        assert cents_error(130.0, 97.0) == pytest.approx(-cents_error(97.0, 130.0))
-
-    def test_octave_is_1200(self):
-        assert cents_error(200.0, 100.0) == pytest.approx(1200.0)
-
-    def test_arrays_supported(self):
-        out = cents_error(np.array([200.0, 100.0]), np.array([100.0, 100.0]))
-        assert out.tolist() == pytest.approx([1200.0, 0.0])
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ValueError):
-            cents_error(0.0, 100.0)
-        with pytest.raises(ValueError):
-            cents_error(100.0, -5.0)
 
 
 class TestPitchCorrelation:
