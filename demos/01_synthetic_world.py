@@ -66,6 +66,6 @@ print("\n=== 5. Write to disk and read back ===")
 out_dir = Path(tempfile.mkdtemp(prefix="f0synth_demo_"))
 manifest = write_dataset(dataset, out_dir)
 print(f"wrote {manifest}")
-loaded = load_manifest(manifest, role="train", d_bn=spec.d_bn, d_xv=spec.d_xv)
+loaded = load_manifest(manifest)  # every row must share the first row's widths
 print(f"round-trip intact: "
       f"{all(np.array_equal(a.f0, b.f0) and np.array_equal(a.bn, b.bn) for a, b in zip(dataset.utterances, loaded.utterances))}")

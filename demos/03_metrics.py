@@ -17,10 +17,9 @@ import numpy as np
 from f0synth.metrics import (
     REPORT_COLUMNS,
     evaluate_utterances,
-    gpe,
     pitch_correlation,
+    pitch_error_counts,
     report_csv_row,
-    vuv_confusion,
 )
 
 print("=== 1. A tiny hand-checkable example ===")
@@ -28,11 +27,14 @@ truth = np.array([100.0, 200.0, 0.0, 150.0, 0.0])
 pred = np.array([101.0, 250.0, 0.0, 0.0, 80.0])
 print(f"truth: {truth}")
 print(f"pred:  {pred}")
-conf = vuv_confusion(pred, truth)
-print(f"voicing confusion: tp={conf.tp} fp={conf.fp} tn={conf.tn} fn={conf.fn}")
+counts = pitch_error_counts(pred, truth)   # one record holds every count
+print(f"voicing confusion: tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}")
 print("  frame 4 is a miss (fn), frame 5 a false alarm (fp)")
-print(f"GPE over the {conf.tp} commonly-voiced frames: {gpe(pred, truth):.3f}")
+print(f"GPE over the {counts.tp} commonly-voiced frames: {counts.gpe:.3f} "
+      f"(gross={counts.gross})")
 print("  100->101 is a 1% error (fine); 200->250 is 25% (gross)")
+print(f"accuracy {counts.accuracy:.3f}  "
+      f"accurately_processed {counts.accurately_processed:.3f}")
 
 print("\n=== 2. Errors in cents ===")
 for ratio in (1.05, 1.20):
@@ -60,6 +62,8 @@ for i in range(4):
     truth_set[f"utt{i}"] = t
     pred_set[f"utt{i}"] = np.abs(p)
 report = evaluate_utterances(pred_set, truth_set)
+print(f"pooled counts: tp={report.tp} fp={report.fp} tn={report.tn} "
+      f"fn={report.fn} gross={report.gross} fine_errors={report.fine_errors}")
 print(f"gpe {report.gpe:.3f}  fpe {report.fpe:.3f}  "
       f"accuracy {report.accuracy:.3f}  "
       f"accurately_processed {report.accurately_processed:.3f}  "

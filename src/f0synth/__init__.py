@@ -51,16 +51,11 @@ from .featureio import (
     write_utterance,
 )
 from .metrics import (
-    ConfusionCounts,
+    FrameCounts,
     MetricsReport,
-    PitchErrorCounts,
-    accurately_processed,
     evaluate_utterances,
-    fpe,
-    gpe,
     pitch_correlation,
     pitch_error_counts,
-    vuv_confusion,
 )
 from .model import (
     ModelConfig,
@@ -86,11 +81,11 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfusionCounts",
     "ContrastiveMode",
     "Dataset",
     "F0Stats",
     "FormatError",
+    "FrameCounts",
     "FrameTable",
     "Gender",
     "GroundTruthMapping",
@@ -98,7 +93,6 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "NormStats",
-    "PitchErrorCounts",
     "PoolEntry",
     "PseudoSpeaker",
     "SchedulerState",
@@ -107,7 +101,6 @@ __all__ = [
     "TrainConfig",
     "TrainHistory",
     "Utterance",
-    "accurately_processed",
     "assemble_features",
     "backward",
     "build_frame_table",
@@ -116,9 +109,7 @@ __all__ = [
     "cosine_distance",
     "evaluate_utterances",
     "forward",
-    "fpe",
     "generate_synthetic_dataset",
-    "gpe",
     "init_params",
     "load_checkpoint",
     "load_manifest",
@@ -136,7 +127,6 @@ __all__ = [
     "shift_scale_f0",
     "speaker_f0_stats",
     "train",
-    "vuv_confusion",
     "write_dataset",
     "write_feature_file",
     "write_pool",

@@ -25,13 +25,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .featureio import (Dataset, FormatError, Gender, check_id, read_csv,
+from .featureio import (Dataset, FormatError, Gender, at_row, check_id, read_csv,
                         read_feature_file, write_feature_file)
 
 POOL_COLUMNS = ("speaker_id", "gender", "xvec_path", "f0_mean", "f0_std")
 DEFAULT_N_FURTHEST = 200
 DEFAULT_K_AVERAGED = 100
 F0_FLOOR_HZ = 1.0
+GENDER_MODES = ("same", "opposite")
+SHIFT_SCALE_DOMAINS = ("linear", "log")
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ def select_pseudo_speaker(
     seeded generator, and their embeddings and F0 statistics are
     arithmetically averaged.
     """
-    if gender_mode not in ("same", "opposite"):
+    if gender_mode not in GENDER_MODES:
         raise ValueError(f"gender_mode must be 'same' or 'opposite', got {gender_mode!r}")
     target = source_gender if gender_mode == "same" else source_gender.opposite
     candidates = pool.of_gender(target)
@@ -225,7 +227,7 @@ def shift_scale_f0(f0, src: F0Stats, tgt: F0Stats, domain: str = "linear") -> np
     """
     if src.std <= 0:
         raise ValueError(f"src.std must be positive, got {src.std}")
-    if domain not in ("linear", "log"):
+    if domain not in SHIFT_SCALE_DOMAINS:
         raise ValueError(f"domain must be 'linear' or 'log', got {domain!r}")
     f0 = np.asarray(f0, dtype=np.float64)
     voiced = f0 > 0
@@ -267,8 +269,7 @@ def assemble_synthesis_inputs(
 # pool files
 # ---------------------------------------------------------------------------
 
-def write_pool(pool: SpeakerPool, out_dir: str | Path,
-               pool_name: str = "pool.csv") -> Path:
+def write_pool(pool: SpeakerPool, out_dir: str | Path) -> Path:
     """Write a pool CSV plus per-speaker embedding files under ``out_dir``."""
     out_dir = Path(out_dir)
     xvec_dir = out_dir / "pool_xvecs"
@@ -279,24 +280,28 @@ def write_pool(pool: SpeakerPool, out_dir: str | Path,
         write_feature_file(out_dir / rel, e.xvec.astype(np.float32))
         rows.append(f"{e.speaker_id},{e.gender.value},{rel},"
                     f"{e.f0_mean:.17g},{e.f0_std:.17g}")
-    path = out_dir / pool_name
+    path = out_dir / "pool.csv"
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return path
 
 
 def load_pool(path: str | Path) -> SpeakerPool:
-    """Read a pool CSV; relative xvec paths resolve against its directory."""
+    """Read a pool CSV; relative xvec paths resolve against its directory.
+
+    An error in a row names it as ``path:lineno``.
+    """
     entries = []
     for where, fields in read_csv(Path(path), POOL_COLUMNS, ("xvec_path",)):
         speaker_id, gender_tok, xvec_path, mean_tok, std_tok = fields
-        xvec = read_feature_file(xvec_path)
-        if xvec.ndim != 1:
-            raise FormatError(f"{xvec_path}: expected rank-1 embedding")
-        try:
-            mean, std = float(mean_tok), float(std_tok)
-        except ValueError:
-            raise FormatError(f"{where}: bad f0 stats") from None
-        entries.append(PoolEntry(speaker_id=speaker_id,
-                                 gender=Gender.parse(gender_tok),
-                                 xvec=xvec, f0_mean=mean, f0_std=std))
+        with at_row(where):
+            xvec = read_feature_file(xvec_path)
+            if xvec.ndim != 1:
+                raise FormatError(f"{xvec_path}: expected rank-1 embedding")
+            try:
+                mean, std = float(mean_tok), float(std_tok)
+            except ValueError:
+                raise FormatError("bad f0 stats") from None
+            entries.append(PoolEntry(speaker_id=speaker_id,
+                                     gender=Gender.parse(gender_tok),
+                                     xvec=xvec, f0_mean=mean, f0_std=std))
     return SpeakerPool(tuple(entries))

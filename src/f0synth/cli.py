@@ -223,8 +223,8 @@ def cmd_synthgen(config: RunConfig) -> dict:
 
 def cmd_train(config: RunConfig) -> dict:
     """Train on a manifest pair; write checkpoint.f0md and history.csv."""
-    train_ds = load_manifest(config.require("train.manifest"), role="train")
-    val_ds = load_manifest(config.require("train.val_manifest"), role="validation")
+    train_ds = load_manifest(config.require("train.manifest"))
+    val_ds = load_manifest(config.require("train.val_manifest"))
     if not len(train_ds) or not len(val_ds):
         raise ValueError("empty dataset")
     table = build_frame_table(train_ds)
@@ -253,7 +253,7 @@ def cmd_eval(config: RunConfig) -> dict:
     the model on each utterance's features) or ``eval.pred_manifest``
     (compare stored trajectories utterance by utterance).
     """
-    truth_ds = load_manifest(config.require("eval.manifest"), role="test")
+    truth_ds = load_manifest(config.require("eval.manifest"))
     if not len(truth_ds):
         raise ValueError("empty dataset")
     checkpoint = config.get("eval.checkpoint")
@@ -266,7 +266,7 @@ def cmd_eval(config: RunConfig) -> dict:
         pred = {u.utt_id: predict_f0(params, u.features())[0]
                 for u in truth_ds.utterances}
     else:
-        pred_ds = load_manifest(pred_manifest, role="test")
+        pred_ds = load_manifest(pred_manifest)
         pred = {u.utt_id: u.f0.astype(np.float64) for u in pred_ds.utterances}
     truth = {u.utt_id: u.f0.astype(np.float64) for u in truth_ds.utterances}
 
@@ -317,6 +317,21 @@ def cmd_anonymize(config: RunConfig) -> dict:
     n = config.get_int("anonymize.n", anon.DEFAULT_N_FURTHEST)
     k = config.get_int("anonymize.k", anon.DEFAULT_K_AVERAGED)
     domain = config.get("anonymize.shift_scale_domain", "linear")
+    if gender_mode not in anon.GENDER_MODES:
+        raise ConfigError(f"anonymize.gender_mode must be one of {anon.GENDER_MODES}, "
+                          f"got {gender_mode!r}")
+    if domain not in anon.SHIFT_SCALE_DOMAINS:
+        raise ConfigError(f"anonymize.shift_scale_domain must be one of "
+                          f"{anon.SHIFT_SCALE_DOMAINS}, got {domain!r}")
+    if not 1 <= k <= n:
+        raise ConfigError(f"anonymize.k must satisfy 1 <= k <= anonymize.n, "
+                          f"got k={k}, n={n}")
+    for gender in {u.gender for u in sources.utterances}:
+        target = gender if gender_mode == "same" else gender.opposite
+        available = len(pool.of_gender(target))
+        if available < n:
+            raise ConfigError(f"anonymize.n: pool has {available} {target.value} "
+                              f"entries, need n={n}")
 
     params = None
     if method == "synthesis":

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -38,8 +39,6 @@ MANIFEST_COLUMNS = ("utt_id", "speaker_id", "gender", "f0_path", "bn_path", "xve
 # Floor applied to every standard deviation before it is used as a divisor,
 # so constant feature dimensions normalize to 0 instead of Inf.
 STD_FLOOR = 1e-8
-
-DATASET_ROLES = ("train", "validation", "test")
 
 
 class FormatError(ValueError):
@@ -136,14 +135,11 @@ def assemble_features(xvec: np.ndarray, bn: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """An ordered collection of utterances with a corpus role."""
+    """An ordered collection of utterances with unique ids."""
 
     utterances: list[Utterance]
-    role: str = "train"
 
     def __post_init__(self) -> None:
-        if self.role not in DATASET_ROLES:
-            raise ValueError(f"dataset role must be one of {DATASET_ROLES}, got {self.role!r}")
         seen: set[str] = set()
         for utt in self.utterances:
             if utt.utt_id in seen:
@@ -285,47 +281,42 @@ def read_csv(path: Path, columns: tuple[str, ...],
         yield f"{path}:{lineno}", fields
 
 
-def load_manifest(
-    path: str | Path,
-    *,
-    role: str = "train",
-    d_bn: int | None = None,
-    d_xv: int | None = None,
-) -> Dataset:
+@contextmanager
+def at_row(where: str):
+    """Re-raise a ValueError from one CSV row as a FormatError that names the row."""
+    try:
+        yield
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def load_manifest(path: str | Path) -> Dataset:
     """Load every utterance referenced by a manifest, in manifest order.
 
-    Parameters
-    ----------
-    path : manifest CSV path; relative feature paths resolve against its
-        directory.
-    role : corpus role recorded on the returned Dataset.
-    d_bn, d_xv : expected feature dimensions.  When omitted they are taken
-        from the first utterance; every utterance must agree.
+    Relative feature paths resolve against the manifest's directory.  Every
+    utterance must have the bn and xvec dimensions of the first.  An error
+    in a row names it as ``path:lineno``.
     """
     utterances: list[Utterance] = []
     rows = read_csv(Path(path), MANIFEST_COLUMNS, ("f0_path", "bn_path", "xvec_path"))
     for where, (utt_id, speaker_id, gender_tok, *paths) in rows:
-        gender = Gender.parse(gender_tok)
-        for p in paths:
-            if not p.is_file():
-                raise FileNotFoundError(f"{where}: missing feature file {p}")
-        utt = read_utterance(*paths, utt_id=utt_id, speaker_id=speaker_id, gender=gender)
-        if d_bn is None:
-            d_bn = utt.bn.shape[1]
-        if d_xv is None:
-            d_xv = len(utt.xvec)
-        if utt.bn.shape[1] != d_bn:
-            raise ValueError(
-                f"utterance {utt_id!r}: bn dimension {utt.bn.shape[1]} != expected {d_bn}")
-        if len(utt.xvec) != d_xv:
-            raise ValueError(
-                f"utterance {utt_id!r}: xvec dimension {len(utt.xvec)} != expected {d_xv}")
+        with at_row(where):
+            gender = Gender.parse(gender_tok)
+            for p in paths:
+                if not p.is_file():
+                    raise FileNotFoundError(f"{where}: missing feature file {p}")
+            utt = read_utterance(*paths, utt_id=utt_id, speaker_id=speaker_id, gender=gender)
+            first = utterances[0] if utterances else utt
+            for name, got, want in (("bn", utt.bn.shape[1], first.bn.shape[1]),
+                                    ("xvec", len(utt.xvec), len(first.xvec))):
+                if got != want:
+                    raise ValueError(f"utterance {utt_id!r}: {name} dimension "
+                                     f"{got} != {want} of the first row")
         utterances.append(utt)
-    return Dataset(utterances, role=role)
+    return Dataset(utterances)
 
 
-def write_dataset(dataset: Dataset, out_dir: str | Path,
-                  manifest_name: str = "manifest.csv") -> Path:
+def write_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     """Write every utterance's feature files plus a manifest under ``out_dir``.
 
     Returns the manifest path.  Feature files land in ``out_dir/features/``
@@ -340,7 +331,7 @@ def write_dataset(dataset: Dataset, out_dir: str | Path,
         write_utterance(utt, out_dir / rel["f0"], out_dir / rel["bn"], out_dir / rel["xvec"])
         rows.append(",".join([utt.utt_id, utt.speaker_id, utt.gender.value,
                               rel["f0"], rel["bn"], rel["xvec"]]))
-    manifest_path = out_dir / manifest_name
+    manifest_path = out_dir / "manifest.csv"
     manifest_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return manifest_path
 

@@ -54,21 +54,50 @@ def _pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
-    """Voiced/unvoiced confusion with voiced as the positive class."""
+class FrameCounts:
+    """Frame counts behind every pitch and voicing rate; they add when pooled.
+
+    ``tp``/``fp``/``tn``/``fn`` are the voiced/unvoiced confusion with
+    voiced as the positive class, so ``tp`` frames are voiced in both.
+    ``gross`` counts the ``tp`` frames with relative error above 20%;
+    ``fine_errors`` counts the other ``tp`` frames with error above 5%.
+    """
 
     tp: int
     fp: int
     tn: int
     fn: int
+    gross: int
+    fine_errors: int
 
     def __post_init__(self) -> None:
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
+        # the last term counts the fine-band frames without a fine error
+        if min(self.tp, self.fp, self.tn, self.fn, self.gross, self.fine_errors,
+               self.tp - self.gross - self.fine_errors) < 0:
             raise ValueError("counts must be non-negative")
+
+    def __add__(self, other: "FrameCounts") -> "FrameCounts":
+        return FrameCounts(self.tp + other.tp, self.fp + other.fp,
+                           self.tn + other.tn, self.fn + other.fn,
+                           self.gross + other.gross,
+                           self.fine_errors + other.fine_errors)
 
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
+
+    @property
+    def both_voiced(self) -> int:
+        return self.tp
+
+    @property
+    def both_unvoiced(self) -> int:
+        return self.tn
+
+    @property
+    def fine_band(self) -> int:
+        """Both-voiced frames with relative error <= 20%."""
+        return self.tp - self.gross
 
     @property
     def accuracy(self) -> float | None:
@@ -83,32 +112,6 @@ class ConfusionCounts:
     def recall(self) -> float | None:
         denom = self.tp + self.fn
         return self.tp / denom if denom else None
-
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(self.tp + other.tp, self.fp + other.fp,
-                               self.tn + other.tn, self.fn + other.fn)
-
-
-@dataclass(frozen=True)
-class PitchErrorCounts:
-    """Pooled frame counts behind GPE/FPE/accurately-processed ratios."""
-
-    total: int
-    both_voiced: int
-    gross: int
-    fine_band: int       # both-voiced with relative error <= 20%
-    fine_errors: int     # fine_band frames with relative error > 5%
-    both_unvoiced: int
-
-    def __add__(self, other: "PitchErrorCounts") -> "PitchErrorCounts":
-        return PitchErrorCounts(
-            self.total + other.total,
-            self.both_voiced + other.both_voiced,
-            self.gross + other.gross,
-            self.fine_band + other.fine_band,
-            self.fine_errors + other.fine_errors,
-            self.both_unvoiced + other.both_unvoiced,
-        )
 
     @property
     def gpe(self) -> float | None:
@@ -125,53 +128,22 @@ class PitchErrorCounts:
         return (self.both_unvoiced + (self.both_voiced - self.gross)) / self.total
 
 
-def pitch_error_counts(pred, truth) -> PitchErrorCounts:
+def pitch_error_counts(pred, truth) -> FrameCounts:
     """Frame counts for one trajectory pair (the pooling unit)."""
     p, t = _pair(pred, truth)
     voiced_p, voiced_t = p > 0, t > 0
     both = voiced_p & voiced_t
     rel = np.abs(p[both] - t[both]) / t[both]
     gross = rel > GROSS_REL_ERROR
-    fine_band = ~gross
-    fine_errors = fine_band & (rel > FINE_REL_ERROR)
-    return PitchErrorCounts(
-        total=len(p),
-        both_voiced=int(both.sum()),
+    tp, n_voiced_p, n_voiced_t = int(both.sum()), int(voiced_p.sum()), int(voiced_t.sum())
+    return FrameCounts(
+        tp=tp,
+        fp=n_voiced_p - tp,
+        tn=len(p) - n_voiced_p - n_voiced_t + tp,
+        fn=n_voiced_t - tp,
         gross=int(gross.sum()),
-        fine_band=int(fine_band.sum()),
-        fine_errors=int(fine_errors.sum()),
-        both_unvoiced=int((~voiced_p & ~voiced_t).sum()),
+        fine_errors=int((~gross & (rel > FINE_REL_ERROR)).sum()),
     )
-
-
-def vuv_confusion(pred, truth) -> ConfusionCounts:
-    """Per-frame voiced/unvoiced confusion (voiced = positive class)."""
-    p, t = _pair(pred, truth)
-    voiced_p, voiced_t = p > 0, t > 0
-    return ConfusionCounts(
-        tp=int((voiced_p & voiced_t).sum()),
-        fp=int((voiced_p & ~voiced_t).sum()),
-        tn=int((~voiced_p & ~voiced_t).sum()),
-        fn=int((~voiced_p & voiced_t).sum()),
-    )
-
-
-def gpe(pred, truth) -> float | None:
-    """Gross pitch error rate over frames voiced in both; None if no such frame."""
-    return pitch_error_counts(pred, truth).gpe
-
-
-def fpe(pred, truth) -> float | None:
-    """Fine pitch error rate over the <=20% band; None if the band is empty."""
-    return pitch_error_counts(pred, truth).fpe
-
-
-def accurately_processed(pred, truth) -> float:
-    """Correct unvoiced frames plus non-gross voiced frames, over all frames."""
-    counts = pitch_error_counts(pred, truth)
-    if counts.total == 0:
-        raise ValueError("accurately_processed needs at least one frame")
-    return counts.accurately_processed
 
 
 def pitch_correlation(a, b) -> float | None:
@@ -199,7 +171,7 @@ def pitch_correlation(a, b) -> float | None:
 
 
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(FrameCounts):
     """Pooled evaluation over a set of utterances.
 
     Count-based rates are micro-averaged (counts pooled across all frames
@@ -208,33 +180,7 @@ class MetricsReport:
     metrics are None.
     """
 
-    counts: ConfusionCounts
-    pitch_counts: PitchErrorCounts
     pitch_correlation: float | None
-
-    @property
-    def gpe(self) -> float | None:
-        return self.pitch_counts.gpe
-
-    @property
-    def fpe(self) -> float | None:
-        return self.pitch_counts.fpe
-
-    @property
-    def accuracy(self) -> float | None:
-        return self.counts.accuracy
-
-    @property
-    def precision(self) -> float | None:
-        return self.counts.precision
-
-    @property
-    def recall(self) -> float | None:
-        return self.counts.recall
-
-    @property
-    def accurately_processed(self) -> float | None:
-        return self.pitch_counts.accurately_processed
 
 
 def evaluate_utterances(pred: dict, truth: dict) -> MetricsReport:
@@ -248,18 +194,16 @@ def evaluate_utterances(pred: dict, truth: dict) -> MetricsReport:
         raise ValueError(f"unmatched utt_ids: {sorted(missing)[:5]}")
     if not truth:
         raise ValueError("no utterances to evaluate")
-    confusion = ConfusionCounts(0, 0, 0, 0)
-    pooled = PitchErrorCounts(0, 0, 0, 0, 0, 0)
+    pooled = FrameCounts(0, 0, 0, 0, 0, 0)
     rhos = []
     for utt_id in sorted(truth):
         p, t = pred[utt_id], truth[utt_id]
-        confusion = confusion + vuv_confusion(p, t)
         pooled = pooled + pitch_error_counts(p, t)
         rho = pitch_correlation(p, t)
         if rho is not None:
             rhos.append(rho)
     mean_rho = float(np.mean(rhos)) if rhos else None
-    return MetricsReport(confusion, pooled, mean_rho)
+    return MetricsReport(**vars(pooled), pitch_correlation=mean_rho)
 
 
 def format_percent(value: float | None) -> str:

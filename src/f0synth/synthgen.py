@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .featureio import DATASET_ROLES, Dataset, Gender, Utterance
+from .featureio import Dataset, Gender, Utterance
 
 # AR(1) coefficient of the feature walk; marginal stays N(0,1).
 WALK_COEFF = 0.9
@@ -41,6 +41,8 @@ LOG_PER_CENT = np.log(2.0) / 1200.0
 _STREAM_MAPPING = 0
 _STREAM_SPEAKER = 1
 _STREAM_UTT_BASE = 2  # + role index
+
+DATASET_ROLES = ("train", "validation", "test")
 
 
 def _default_base_f0() -> dict[Gender, float]:
@@ -186,4 +188,4 @@ def generate_synthetic_dataset(
                     bn=bn32,
                     xvec=xvec,
                 ))
-    return Dataset(utterances, role=role), mapping
+    return Dataset(utterances), mapping

@@ -23,7 +23,7 @@ Scheduler
 ---------
 Higher metric = better.  One counter tracks epochs without strict
 improvement; at ``patience_lr`` it fires a single lr reduction
-(factor 0.2, counter keeps running), at ``patience_stop`` it stops.
+(by ``lr_factor``, counter keeps running), at ``patience_stop`` it stops.
 Only strict improvement resets the counter; stop is absorbing.
 """
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .featureio import Dataset, FrameTable, compute_norm_stats
-from .metrics import PitchErrorCounts, pitch_error_counts
+from .metrics import FrameCounts, pitch_error_counts
 from .model import (
     Gradients,
     ModelConfig,
@@ -121,24 +121,19 @@ def composite_loss(
 
 @dataclass
 class OptimizerState:
-    """NAdam accumulators: moments shaped like the parameters, step count,
-    and the running product of momentum-schedule values."""
+    """NAdam accumulators: moments shaped like ``[*weights, *biases]``, step
+    count, and the running product of momentum-schedule values."""
 
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     step: int = 0
     mu_product: float = 1.0
 
 
 def init_optimizer(params: ModelParams) -> OptimizerState:
-    return OptimizerState(
-        m_weights=[np.zeros_like(w) for w in params.weights],
-        v_weights=[np.zeros_like(w) for w in params.weights],
-        m_biases=[np.zeros_like(b) for b in params.biases],
-        v_biases=[np.zeros_like(b) for b in params.biases],
-    )
+    arrays = (*params.weights, *params.biases)
+    return OptimizerState(m=[np.zeros_like(p) for p in arrays],
+                          v=[np.zeros_like(p) for p in arrays])
 
 
 def _mu(t: int) -> float:
@@ -163,27 +158,18 @@ def nadam_step(
     m_scale = lr * mu_next / (1.0 - mu_product * mu_next)
     v_correction = 1.0 - NADAM_BETA2**t
 
-    def update(p, m, v, g):
-        m_new = NADAM_BETA1 * m + (1.0 - NADAM_BETA1) * g
-        v_new = NADAM_BETA2 * v + (1.0 - NADAM_BETA2) * g * g
-        denom = np.sqrt(v_new / v_correction) + NADAM_EPS
-        p_new = p - g_scale * g / denom - m_scale * m_new / denom
-        return p_new, m_new, v_new
-
-    new_w, new_mw, new_vw = [], [], []
-    for p, m, v, g in zip(params.weights, state.m_weights, state.v_weights,
-                          grads.weights):
-        a, b, c = update(p, m, v, g)
-        new_w.append(a), new_mw.append(b), new_vw.append(c)
-    new_b, new_mb, new_vb = [], [], []
-    for p, m, v, g in zip(params.biases, state.m_biases, state.v_biases,
-                          grads.biases):
-        a, b, c = update(p, m, v, g)
-        new_b.append(a), new_mb.append(b), new_vb.append(c)
-    new_params = ModelParams(new_w, new_b, params.norm)
-    new_state = OptimizerState(new_mw, new_vw, new_mb, new_vb,
-                               step=t, mu_product=mu_product)
-    return new_params, new_state
+    new_p, new_m, new_v = [], [], []
+    for p, m, v, g in zip((*params.weights, *params.biases), state.m, state.v,
+                          (*grads.weights, *grads.biases)):
+        m = NADAM_BETA1 * m + (1.0 - NADAM_BETA1) * g
+        v = NADAM_BETA2 * v + (1.0 - NADAM_BETA2) * g * g
+        denom = np.sqrt(v / v_correction) + NADAM_EPS
+        new_p.append(p - g_scale * g / denom - m_scale * m / denom)
+        new_m.append(m)
+        new_v.append(v)
+    n_layers = len(params.weights)
+    new_params = ModelParams(new_p[:n_layers], new_p[n_layers:], params.norm)
+    return new_params, OptimizerState(new_m, new_v, step=t, mu_product=mu_product)
 
 
 @dataclass
@@ -191,9 +177,9 @@ class SchedulerState:
     """Plateau tracker; ``current_lr`` is the live learning rate."""
 
     current_lr: float
-    patience_lr: int = 5
-    lr_factor: float = 0.2
-    patience_stop: int = 10
+    patience_lr: int = TrainConfig.patience_lr
+    lr_factor: float = TrainConfig.lr_factor
+    patience_stop: int = TrainConfig.patience_stop
     best_metric: float = -np.inf
     epochs_since_improve: int = 0
     stopped: bool = False
@@ -249,7 +235,7 @@ class TrainHistory:
 
 def validation_metric(params: ModelParams, val_dataset: Dataset) -> float:
     """Accurately-processed fraction pooled over all validation frames."""
-    pooled = PitchErrorCounts(0, 0, 0, 0, 0, 0)
+    pooled = FrameCounts(0, 0, 0, 0, 0, 0)
     for utt in val_dataset.utterances:
         pred, _ = predict_f0(params, utt.features())
         pooled = pooled + pitch_error_counts(pred, utt.f0)
@@ -298,7 +284,6 @@ def train(
     )
     history = TrainHistory()
     best_params = params.copy()
-    best_metric = -np.inf
     n = train_table.n_rows
 
     for epoch in range(train_config.max_epochs):
@@ -320,10 +305,9 @@ def train(
         train_loss = loss_sum / n
 
         metric = validation_metric(params, val_dataset)
-        if metric > best_metric:
-            best_metric = metric
-            best_params = params.copy()
         action = scheduler_update(sched, metric)
+        if sched.epochs_since_improve == 0:
+            best_params = params.copy()
         event = action if action != "continue" else "none"
         history.records.append(EpochRecord(
             epoch=epoch + 1, train_loss=train_loss, val_metric=metric,

@@ -381,3 +381,16 @@ class TestPoolFile:
         path.write_text(text)
         with pytest.raises((FormatError, ValueError)):
             load_pool(path)
+
+    @pytest.mark.parametrize("edit, words", [
+        (("\nb,", "\nb/x,"), "speaker_id 'b/x'"),
+        ((",200,20\n", ",0,20\n"), "must be positive"),
+        ((",200,20\n", ",200,-20\n"), "must be positive"),
+    ], ids=["speaker_id", "zero_mean", "negative_std"])
+    def test_row_error_names_pool_line(self, tmp_path, edit, words):
+        path = write_pool(toy_pool(), tmp_path)
+        text = path.read_text()
+        assert edit[0] in text
+        path.write_text(text.replace(edit[0], edit[1]))
+        with pytest.raises(FormatError, match=f"pool.csv:3: .*{words}"):
+            load_pool(path)

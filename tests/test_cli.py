@@ -162,7 +162,7 @@ class TestSynthgenCommand:
         for role in ("train", "validation", "test"):
             manifest = world_dir / role / "manifest.csv"
             assert manifest.is_file()
-            ds = load_manifest(manifest, role=role)
+            ds = load_manifest(manifest)
             assert len(ds) == 18
         pool = world_dir / "pool.csv"
         assert pool.is_file()
@@ -370,7 +370,7 @@ class TestAnonymizeCommand:
         from f0synth.featureio import Dataset, write_dataset
         sources = load_manifest(world_dir / "test" / "manifest.csv")
         one_speaker = [u for u in sources.utterances if u.speaker_id == "F000"]
-        sub_ds = Dataset(one_speaker, role="test")
+        sub_ds = Dataset(one_speaker)
         sub_dir = tmp_path / "sub"
         sub_manifest = write_dataset(sub_ds, sub_dir)
         pool_path = write_pool(pool_from_dataset(sub_ds), sub_dir)
@@ -430,6 +430,20 @@ class TestAnonymizeCommand:
         with pytest.raises(ValueError, match="need n"):
             cmd_anonymize(anon_config(tmp_path, world_dir, trained_dir,
                                       **{"anonymize.n": 50, "anonymize.k": 2}))
+
+    @pytest.mark.parametrize("key, value", [
+        ("anonymize.gender_mode", "both"),
+        ("anonymize.shift_scale_domain", "cents"),
+        ("anonymize.n", 50),
+        ("anonymize.k", 0),
+        ("anonymize.k", 3),
+    ])
+    def test_bad_selection_key_fails_before_writing(self, tmp_path, world_dir, key, value):
+        out = tmp_path / "anon"
+        with pytest.raises(ConfigError, match=key):
+            cmd_anonymize(anon_config(out, world_dir, None,
+                                      **{"anonymize.method": "shift_scale", key: value}))
+        assert not out.exists()
 
     def test_synthesis_requires_checkpoint(self, tmp_path, world_dir):
         with pytest.raises(ConfigError, match="anonymize.checkpoint"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -156,10 +158,6 @@ class TestDataset:
         with pytest.raises(ValueError, match="duplicate"):
             Dataset([make_utt("u0"), make_utt("u0")])
 
-    def test_bad_role_rejected(self):
-        with pytest.raises(ValueError, match="role"):
-            Dataset([make_utt()], role="dev")
-
     def test_by_speaker_groups_in_order(self):
         d = Dataset([make_utt("u0", "s1"), make_utt("u1", "s0"), make_utt("u2", "s1")])
         groups = d.by_speaker()
@@ -174,7 +172,7 @@ class TestManifest:
                                f0=np.array([0.0, 200.0], dtype=np.float32),
                                bn=np.ones((2, 2), dtype=np.float32))])
         manifest = write_dataset(ds, tmp_path)
-        back = load_manifest(manifest, role="train")
+        back = load_manifest(manifest)
         assert [u.utt_id for u in back.utterances] == ["u0", "u1"]
         assert back.utterances[1].gender is Gender.M
         assert np.array_equal(back.utterances[0].f0, ds.utterances[0].f0)
@@ -204,6 +202,22 @@ class TestManifest:
         text = manifest.read_text().replace(",F,", ",X,")
         manifest.write_text(text)
         with pytest.raises(ValueError, match="gender"):
+            load_manifest(manifest)
+
+    @pytest.mark.parametrize("second, edit, words", [
+        (dict(), ("\nu1,", "\nu/1,"), "utt_id 'u/1'"),
+        (dict(), ("\nu1,s0,", "\nu1,s\\0,"), "speaker_id"),
+        (dict(bn=np.zeros((3, 5), dtype=np.float32)), None, "bn dimension 5 != 2"),
+        (dict(xvec=np.zeros(3, dtype=np.float32)), None, "xvec dimension 3 != 2"),
+        (dict(), ("\nu1,s0,F,", "\nu1,s0,X,"), "gender"),
+    ], ids=["utt_id", "speaker_id", "bn_width", "xvec_width", "gender"])
+    def test_row_error_names_manifest_line(self, tmp_path, second, edit, words):
+        manifest = write_dataset(Dataset([make_utt("u0"), make_utt("u1", **second)]), tmp_path)
+        if edit is not None:
+            text = manifest.read_text()
+            assert edit[0] in text
+            manifest.write_text(text.replace(edit[0], edit[1]))
+        with pytest.raises(FormatError, match=f"manifest.csv:3: .*{re.escape(words)}"):
             load_manifest(manifest)
 
 

@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 
 from f0synth.metrics import (
-    ConfusionCounts,
-    accurately_processed,
+    FrameCounts,
     evaluate_utterances,
     format_correlation,
     format_percent,
-    fpe,
-    gpe,
     pitch_correlation,
     pitch_error_counts,
     report_csv_row,
-    vuv_confusion,
 )
 
 
@@ -52,20 +48,20 @@ def random_pair(rng, n):
 class TestConfusion:
     def test_identity_has_no_errors(self):
         t = np.array([100.0, 0.0, 250.0, 0.0])
-        c = vuv_confusion(t, t)
+        c = pitch_error_counts(t, t)
         assert (c.fp, c.fn) == (0, 0)
         assert c.tp == 2 and c.tn == 2
 
     def test_hand_enumerated_example(self):
         truth = np.array([100.0, 100.0, 0.0, 0.0])
         pred = np.array([100.0, 0.0, 0.0, 100.0])
-        c = vuv_confusion(pred, truth)
+        c = pitch_error_counts(pred, truth)
         assert (c.tp, c.fn, c.tn, c.fp) == (1, 1, 1, 1)
         assert c.accuracy == 0.5 and c.precision == 0.5 and c.recall == 0.5
 
     def test_all_unvoiced_precision_absent(self):
         z = np.zeros(5)
-        c = vuv_confusion(z, z)
+        c = pitch_error_counts(z, z)
         assert c.tn == 5
         assert c.precision is None
         assert c.recall is None
@@ -73,40 +69,43 @@ class TestConfusion:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
-            vuv_confusion(np.zeros(3), np.zeros(4))
+            pitch_error_counts(np.zeros(3), np.zeros(4))
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            ConfusionCounts(1, -1, 0, 0)
+            FrameCounts(1, -1, 0, 0, 0, 0)
+        with pytest.raises(ValueError):
+            FrameCounts(1, 0, 0, 0, 1, 1)  # more gross + fine errors than tp
 
 
 class TestGpe:
     def test_hand_enumerated_example(self):
         truth = np.array([100.0, 200.0, 150.0])
         pred = np.array([130.0, 205.0, 150.0])
-        assert gpe(pred, truth) == pytest.approx(1.0 / 3.0)
+        assert pitch_error_counts(pred, truth).gpe == pytest.approx(1.0 / 3.0)
 
     def test_identity_is_zero(self):
         t = np.array([100.0, 200.0])
-        assert gpe(t, t) == 0.0
+        assert pitch_error_counts(t, t).gpe == 0.0
 
     def test_exact_20_percent_is_not_gross(self):
-        assert gpe(np.array([120.0]), np.array([100.0])) == 0.0
-        assert gpe(np.array([120.0 + 1e-9]), np.array([100.0])) == 1.0
+        assert pitch_error_counts(np.array([120.0]), np.array([100.0])).gpe == 0.0
+        assert pitch_error_counts(np.array([120.0 + 1e-9]), np.array([100.0])).gpe == 1.0
 
     def test_absent_without_common_voiced_frames(self):
-        assert gpe(np.array([0.0, 100.0]), np.array([100.0, 0.0])) is None
+        assert pitch_error_counts(np.array([0.0, 100.0]), np.array([100.0, 0.0])).gpe is None
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         pred, truth = random_pair(rng, 40)
-        assert gpe(pred, truth) == gpe(3.7 * pred, 3.7 * truth)
+        assert (pitch_error_counts(pred, truth).gpe
+                == pitch_error_counts(3.7 * pred, 3.7 * truth).gpe)
 
     def test_denominator_is_both_voiced_only(self):
         # one gross frame among two both-voiced; extra fp/fn frames ignored
         truth = np.array([100.0, 100.0, 0.0, 100.0])
         pred = np.array([150.0, 100.0, 100.0, 0.0])
-        assert gpe(pred, truth) == 0.5
+        assert pitch_error_counts(pred, truth).gpe == 0.5
 
 
 class TestFpe:
@@ -114,41 +113,44 @@ class TestFpe:
         # both-voiced errors {6%, 2%, 25%}: band {6%, 2%}, errors {6%}
         truth = np.array([100.0, 100.0, 100.0])
         pred = np.array([106.0, 102.0, 125.0])
-        assert fpe(pred, truth) == 0.5
+        c = pitch_error_counts(pred, truth)
+        assert (c.gross, c.fine_band, c.fine_errors) == (1, 2, 1)
+        assert c.fpe == 0.5
 
     def test_small_errors_give_zero(self):
         truth = np.array([200.0, 150.0])
         pred = np.array([205.0, 150.0])  # 2.5%, 0%
-        assert fpe(pred, truth) == 0.0
+        assert pitch_error_counts(pred, truth).fpe == 0.0
 
     def test_identity_is_zero(self):
         t = np.array([99.0, 301.0])
-        assert fpe(t, t) == 0.0
+        assert pitch_error_counts(t, t).fpe == 0.0
 
     def test_absent_when_all_gross(self):
-        assert fpe(np.array([200.0]), np.array([100.0])) is None
+        assert pitch_error_counts(np.array([200.0]), np.array([100.0])).fpe is None
 
     def test_exact_5_percent_is_not_fine_error(self):
-        assert fpe(np.array([105.0]), np.array([100.0])) == 0.0
+        assert pitch_error_counts(np.array([105.0]), np.array([100.0])).fpe == 0.0
 
 
 class TestAccuratelyProcessed:
     def test_hand_enumerated_example(self):
         truth = np.array([100.0, 200.0, 0.0, 0.0])
         pred = np.array([110.0, 0.0, 0.0, 130.0])
-        assert accurately_processed(pred, truth) == 0.5
+        assert pitch_error_counts(pred, truth).accurately_processed == 0.5
 
     def test_identity_is_one(self):
         t = np.array([100.0, 0.0, 300.0])
-        assert accurately_processed(t, t) == 1.0
+        assert pitch_error_counts(t, t).accurately_processed == 1.0
 
     def test_total_miss_is_zero(self):
         truth = np.array([100.0, 200.0])
-        assert accurately_processed(np.zeros(2), truth) == 0.0
+        assert pitch_error_counts(np.zeros(2), truth).accurately_processed == 0.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            accurately_processed(np.array([]), np.array([]))
+    def test_empty_is_absent(self):
+        c = pitch_error_counts(np.array([]), np.array([]))
+        assert c.total == 0
+        assert c.accurately_processed is None
 
 
 class TestPitchCorrelation:
@@ -195,23 +197,20 @@ class TestOracleEquivalence:
         for _ in range(200):
             pred, truth = random_pair(rng, int(rng.integers(1, 50)))
             ref = oracle_counts(pred, truth)
-            c = vuv_confusion(pred, truth)
-            pc = pitch_error_counts(pred, truth)
+            c = pitch_error_counts(pred, truth)
             assert (c.tp, c.fp, c.tn, c.fn) == (ref["tp"], ref["fp"], ref["tn"], ref["fn"])
-            assert pc.gross == ref["gross"]
-            assert pc.fine_band == ref["fine_band"]
-            assert pc.fine_errors == ref["fine_err"]
-            assert pc.both_unvoiced == ref["both_unv"]
-            assert pc.both_voiced == ref["tp"]
+            assert c.gross == ref["gross"]
+            assert c.fine_band == ref["fine_band"]
+            assert c.fine_errors == ref["fine_err"]
+            assert c.both_unvoiced == ref["both_unv"]
+            assert c.both_voiced == ref["tp"]
+            assert c.total == len(pred)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         pred, truth = random_pair(rng, 60)
         perm = rng.permutation(60)
-        assert gpe(pred, truth) == gpe(pred[perm], truth[perm])
-        assert fpe(pred, truth) == fpe(pred[perm], truth[perm])
-        assert accurately_processed(pred, truth) == accurately_processed(
-            pred[perm], truth[perm])
+        assert pitch_error_counts(pred, truth) == pitch_error_counts(pred[perm], truth[perm])
 
 
 class TestEvaluateUtterances:
@@ -233,11 +232,11 @@ class TestEvaluateUtterances:
             pred[f"u{i}"], truth[f"u{i}"] = p, t
             per_utt.append(pitch_error_counts(p, t))
         report = evaluate_utterances(pred, truth)
-        assert report.pitch_counts.gross == sum(c.gross for c in per_utt)
-        assert report.pitch_counts.both_voiced == sum(c.both_voiced for c in per_utt)
-        assert report.pitch_counts.total == sum(c.total for c in per_utt)
+        for name in ("tp", "fp", "tn", "fn", "gross", "fine_errors"):
+            assert getattr(report, name) == sum(getattr(c, name) for c in per_utt)
+        assert report.total == sum(c.total for c in per_utt)
         # micro averaging: ratio of pooled counts, not mean of ratios
-        assert report.gpe == report.pitch_counts.gross / report.pitch_counts.both_voiced
+        assert report.gpe == report.gross / report.both_voiced
 
     def test_rho_macro_averaged_over_defined_values(self):
         a = np.array([1.0, 2.0, 3.0])

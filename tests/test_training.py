@@ -232,7 +232,7 @@ class TestNadam:
         nadam_step(state, params, grads, lr=0.1)
         assert np.array_equal(params.weights[0], snapshot)
         assert state.step == 0
-        assert not state.m_weights[0].any()
+        assert not state.m[0].any()
 
     def test_non_finite_gradient_rejected(self):
         params = scalar_params()
@@ -389,7 +389,7 @@ class TestTrainLoop:
         table = build_frame_table(train_ds)
         mc = ModelConfig(input_dim=table.rows.shape[1], hidden_sizes=[8])
         with pytest.raises(ValueError, match="validation"):
-            train(table, Dataset([], role="validation"), mc, TrainConfig(max_epochs=1))
+            train(table, Dataset([]), mc, TrainConfig(max_epochs=1))
 
     def test_input_dim_mismatch_rejected(self):
         train_ds, val_ds, _ = tiny_world()
