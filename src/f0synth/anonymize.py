@@ -33,7 +33,7 @@ DEFAULT_N_FURTHEST = 200
 DEFAULT_K_AVERAGED = 100
 F0_FLOOR_HZ = 1.0
 GENDER_MODES = ("same", "opposite")
-SHIFT_SCALE_DOMAINS = ("linear", "log")
+DEFAULT_GENDER_MODE = "same"
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,6 @@ class PoolEntry:
             raise ValueError(
                 f"pool entry {self.speaker_id!r}: f0 stats must be positive "
                 f"(got mean={self.f0_mean}, std={self.f0_std})")
-
-    @property
-    def stats(self) -> F0Stats:
-        return F0Stats(self.f0_mean, self.f0_std)
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ def select_pseudo_speaker(
     pool: SpeakerPool,
     source_xvec: np.ndarray,
     source_gender: Gender,
-    gender_mode: str = "same",
+    gender_mode: str = DEFAULT_GENDER_MODE,
     n: int = DEFAULT_N_FURTHEST,
     k: int = DEFAULT_K_AVERAGED,
     seed=0,
@@ -216,26 +212,20 @@ def pool_from_dataset(dataset: Dataset) -> SpeakerPool:
     return SpeakerPool(tuple(entries))
 
 
-def shift_scale_f0(f0, src: F0Stats, tgt: F0Stats, domain: str = "linear") -> np.ndarray:
-    """Affine F0 modification from source stats to target stats.
+def shift_scale_f0(f0, src: F0Stats, tgt: F0Stats) -> np.ndarray:
+    """Affine F0 modification in linear Hz from source stats to target stats.
 
     Voiced frames map x -> (x - src.mean)/src.std * tgt.std + tgt.mean;
     unvoiced frames stay exactly 0; mapped values are floored at 1 Hz so
-    outliers cannot corrupt the voiced mask.  ``domain`` selects where
-    the map is applied ("linear" Hz or "log"); stats are interpreted in
-    that domain.
+    outliers cannot corrupt the voiced mask.  Both stats are voiced-F0
+    mean and std in Hz, as ``speaker_f0_stats`` and pool files give them.
     """
     if src.std <= 0:
         raise ValueError(f"src.std must be positive, got {src.std}")
-    if domain not in SHIFT_SCALE_DOMAINS:
-        raise ValueError(f"domain must be 'linear' or 'log', got {domain!r}")
     f0 = np.asarray(f0, dtype=np.float64)
     voiced = f0 > 0
     out = np.zeros_like(f0)
-    if domain == "linear":
-        mapped = (f0[voiced] - src.mean) / src.std * tgt.std + tgt.mean
-    else:
-        mapped = np.exp((np.log(f0[voiced]) - src.mean) / src.std * tgt.std + tgt.mean)
+    mapped = (f0[voiced] - src.mean) / src.std * tgt.std + tgt.mean
     out[voiced] = np.maximum(mapped, F0_FLOOR_HZ)
     return out
 
@@ -243,7 +233,7 @@ def shift_scale_f0(f0, src: F0Stats, tgt: F0Stats, domain: str = "linear") -> np
 def assemble_synthesis_inputs(
     mode: ContrastiveMode,
     source_xvec: np.ndarray,
-    pseudo: PseudoSpeaker | None = None,
+    pseudo: PseudoSpeaker,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Route embeddings per contrastive mode.
 
@@ -253,16 +243,10 @@ def assemble_synthesis_inputs(
     C2 synthesizes from pseudo but exports source; C3 the reverse.
     """
     source_xvec = np.asarray(source_xvec, dtype=np.float64)
-    needs_pseudo = mode in (ContrastiveMode.OURS, ContrastiveMode.C2, ContrastiveMode.C3)
-    if needs_pseudo and pseudo is None:
-        raise ValueError(f"mode {mode.value} requires a pseudo speaker")
-    routing = {
-        ContrastiveMode.OURS: lambda: (pseudo.xvec, pseudo.xvec),
-        ContrastiveMode.C1: lambda: (source_xvec, source_xvec),
-        ContrastiveMode.C2: lambda: (pseudo.xvec, source_xvec),
-        ContrastiveMode.C3: lambda: (source_xvec, pseudo.xvec),
-    }
-    return routing[mode]()
+    pseudo_synth = mode in (ContrastiveMode.OURS, ContrastiveMode.C2)
+    pseudo_export = mode in (ContrastiveMode.OURS, ContrastiveMode.C3)
+    return (pseudo.xvec if pseudo_synth else source_xvec,
+            pseudo.xvec if pseudo_export else source_xvec)
 
 
 # ---------------------------------------------------------------------------

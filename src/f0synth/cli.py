@@ -35,6 +35,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from . import anonymize as anon
 from .featureio import (
     Dataset,
@@ -109,7 +110,7 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return self.get_int("seed", 0)
+        return self.get_int("seed", TrainConfig.seed)
 
     @property
     def out_dir(self) -> Path:
@@ -139,9 +140,8 @@ KNOWN_KEYS = {f"{section}.{name}"
     "train.manifest", "train.val_manifest",
     "eval.manifest", "eval.checkpoint", "eval.pred_manifest",
     "eval.dataset_name",
-    "anonymize.manifest", "anonymize.pool", "anonymize.checkpoint",
-    "anonymize.method", "anonymize.mode", "anonymize.gender_mode",
-    "anonymize.n", "anonymize.k", "anonymize.shift_scale_domain",
+    "anonymize.manifest", "anonymize.pool", "anonymize.checkpoint", "anonymize.method",
+    "anonymize.mode", "anonymize.gender_mode", "anonymize.n", "anonymize.k",
 }
 
 
@@ -200,6 +200,17 @@ def build_config(
 # ---------------------------------------------------------------------------
 # command bodies (pure-ish: config in, result out, files under out_dir)
 # ---------------------------------------------------------------------------
+
+def load_matching_checkpoint(path: str, dataset: Dataset):
+    """Load a checkpoint's params; its input width must be the data's d_xv + d_bn."""
+    params, _ = load_checkpoint(path)
+    utt = dataset.utterances[0]
+    width = len(utt.xvec) + utt.bn.shape[1]
+    if params.input_dim != width:
+        raise ValueError(f"{path}: checkpoint input width {params.input_dim} != "
+                         f"d_xv + d_bn = {width} of the manifest")
+    return params
+
 
 def cmd_synthgen(config: RunConfig) -> dict:
     """Generate train/validation/test splits of one world, plus a pool file."""
@@ -262,7 +273,7 @@ def cmd_eval(config: RunConfig) -> dict:
         raise ConfigError(
             "set exactly one of eval.checkpoint or eval.pred_manifest")
     if checkpoint is not None:
-        params, _ = load_checkpoint(checkpoint)
+        params = load_matching_checkpoint(checkpoint, truth_ds)
         pred = {u.utt_id: predict_f0(params, u.features())[0]
                 for u in truth_ds.utterances}
     else:
@@ -307,22 +318,19 @@ def cmd_anonymize(config: RunConfig) -> dict:
     sources = load_manifest(config.require("anonymize.manifest"))
     if not len(sources):
         raise ValueError("empty dataset")
-    pool = anon.load_pool(config.require("anonymize.pool"))
+    pool_path = config.require("anonymize.pool")
+    pool = anon.load_pool(pool_path)
     method = config.get("anonymize.method", "synthesis")
     if method not in ("synthesis", "shift_scale"):
         raise ConfigError(f"anonymize.method must be synthesis or shift_scale, "
                           f"got {method!r}")
     mode = anon.ContrastiveMode.parse(config.get("anonymize.mode", "Ours"))
-    gender_mode = config.get("anonymize.gender_mode", "same")
+    gender_mode = config.get("anonymize.gender_mode", anon.DEFAULT_GENDER_MODE)
     n = config.get_int("anonymize.n", anon.DEFAULT_N_FURTHEST)
     k = config.get_int("anonymize.k", anon.DEFAULT_K_AVERAGED)
-    domain = config.get("anonymize.shift_scale_domain", "linear")
     if gender_mode not in anon.GENDER_MODES:
         raise ConfigError(f"anonymize.gender_mode must be one of {anon.GENDER_MODES}, "
                           f"got {gender_mode!r}")
-    if domain not in anon.SHIFT_SCALE_DOMAINS:
-        raise ConfigError(f"anonymize.shift_scale_domain must be one of "
-                          f"{anon.SHIFT_SCALE_DOMAINS}, got {domain!r}")
     if not 1 <= k <= n:
         raise ConfigError(f"anonymize.k must satisfy 1 <= k <= anonymize.n, "
                           f"got k={k}, n={n}")
@@ -332,10 +340,13 @@ def cmd_anonymize(config: RunConfig) -> dict:
         if available < n:
             raise ConfigError(f"anonymize.n: pool has {available} {target.value} "
                               f"entries, need n={n}")
+    pool_width, source_width = len(pool.entries[0].xvec), len(sources.utterances[0].xvec)
+    if pool_width != source_width:
+        raise ValueError(f"{pool_path}: pool xvec width {pool_width} != "
+                         f"{source_width} of the manifest")
 
-    params = None
-    if method == "synthesis":
-        params, _ = load_checkpoint(config.require("anonymize.checkpoint"))
+    params = (load_matching_checkpoint(config.require("anonymize.checkpoint"), sources)
+              if method == "synthesis" else None)
     src_stats = anon.speaker_f0_stats(sources) if method == "shift_scale" else None
 
     out_dir = config.out_dir
@@ -363,8 +374,7 @@ def cmd_anonymize(config: RunConfig) -> dict:
             synth_seconds += time.perf_counter() - t0
             synth_frames += utt.n_frames
         else:
-            f0_out = anon.shift_scale_f0(
-                utt.f0, src_stats[utt.speaker_id], pseudo.stats, domain=domain)
+            f0_out = anon.shift_scale_f0(utt.f0, src_stats[utt.speaker_id], pseudo.stats)
         write_feature_file(f0_dir / f"{utt.utt_id}.f0", f0_out.astype(np.float32))
         write_feature_file(xvec_dir / f"{utt.utt_id}.xvec",
                            np.asarray(export_xvec, dtype=np.float32))
@@ -411,7 +421,7 @@ def _common_options(fn):
 
 
 @click.group()
-@click.version_option(package_name="f0synth")
+@click.version_option(version=__version__)
 def main():
     """Framewise F0 synthesis and modification toolkit."""
 

@@ -294,13 +294,17 @@ def load_manifest(path: str | Path) -> Dataset:
     """Load every utterance referenced by a manifest, in manifest order.
 
     Relative feature paths resolve against the manifest's directory.  Every
-    utterance must have the bn and xvec dimensions of the first.  An error
-    in a row names it as ``path:lineno``.
+    utterance must have the bn and xvec dimensions of the first, and a
+    unique utt_id.  An error in a row names it as ``path:lineno``.
     """
     utterances: list[Utterance] = []
     rows = read_csv(Path(path), MANIFEST_COLUMNS, ("f0_path", "bn_path", "xvec_path"))
+    seen: set[str] = set()
     for where, (utt_id, speaker_id, gender_tok, *paths) in rows:
         with at_row(where):
+            if utt_id in seen:
+                raise ValueError(f"duplicate utt_id {utt_id!r}")
+            seen.add(utt_id)
             gender = Gender.parse(gender_tok)
             for p in paths:
                 if not p.is_file():

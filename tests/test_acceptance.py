@@ -421,7 +421,7 @@ def test_criterion_07_shift_scale_exactness():
         tgt_mean = rng.uniform(80, 300)
         tgt = F0Stats(float(tgt_mean), float(rng.uniform(2.0, tgt_mean / 10)))
 
-        out = shift_scale_f0(f0, src, tgt, domain="linear")
+        out = shift_scale_f0(f0, src, tgt)
         out_voiced = out[out > 0]
         mask_ok = np.array_equal(out > 0, f0 > 0)
         floor_clear = float(out_voiced.min()) > 1.0

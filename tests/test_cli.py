@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import typing
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from f0synth.anonymize import SpeakerPool, load_pool, write_pool
 from f0synth.cli import (
     KNOWN_KEYS,
     ConfigError,
@@ -269,6 +271,15 @@ class TestEvalCommand:
         assert report.accurately_processed is not None
         assert 0.0 <= report.accurately_processed <= 1.0
 
+    def test_checkpoint_width_mismatch_rejected(self, tmp_path, world_dir):
+        ckpt = tmp_path / "narrow.f0md"
+        save_checkpoint(ckpt, zero_params(input_dim=7))  # world: d_xv 3 + d_bn 6
+        with pytest.raises(ValueError, match=f"{re.escape(str(ckpt))}: checkpoint "
+                           r"input width 7 != d_xv \+ d_bn = 9"):
+            cmd_eval(config_for(tmp_path / "out",
+                                **{"eval.manifest": world_dir / "test" / "manifest.csv",
+                                   "eval.checkpoint": ckpt}))
+
     def test_exactly_one_prediction_source(self, tmp_path, world_dir, trained_dir):
         manifest = world_dir / "test" / "manifest.csv"
         with pytest.raises(ConfigError, match="exactly one"):
@@ -433,7 +444,6 @@ class TestAnonymizeCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("anonymize.gender_mode", "both"),
-        ("anonymize.shift_scale_domain", "cents"),
         ("anonymize.n", 50),
         ("anonymize.k", 0),
         ("anonymize.k", 3),
@@ -445,6 +455,28 @@ class TestAnonymizeCommand:
                                       **{"anonymize.method": "shift_scale", key: value}))
         assert not out.exists()
 
+    def test_pool_width_mismatch_fails_before_writing(self, tmp_path, world_dir):
+        pool = load_pool(world_dir / "pool.csv")
+        wide = SpeakerPool(tuple(dataclasses.replace(e, xvec=np.append(e.xvec, [1.0, 1.0]))
+                                 for e in pool.entries))
+        pool_path = write_pool(wide, tmp_path / "wide")
+        out = tmp_path / "anon"
+        with pytest.raises(ValueError, match="pool xvec width 5 != 3"):
+            cmd_anonymize(anon_config(out, world_dir, None,
+                                      **{"anonymize.method": "shift_scale",
+                                         "anonymize.pool": pool_path}))
+        assert not out.exists()
+
+    def test_checkpoint_width_mismatch_fails_before_writing(self, tmp_path, world_dir):
+        ckpt = tmp_path / "narrow.f0md"
+        save_checkpoint(ckpt, zero_params(input_dim=7))  # world: d_xv 3 + d_bn 6
+        out = tmp_path / "anon"
+        with pytest.raises(ValueError, match=f"{re.escape(str(ckpt))}: checkpoint "
+                           r"input width 7 != d_xv \+ d_bn = 9"):
+            cmd_anonymize(anon_config(out, world_dir, None,
+                                      **{"anonymize.checkpoint": ckpt}))
+        assert not out.exists()
+
     def test_synthesis_requires_checkpoint(self, tmp_path, world_dir):
         with pytest.raises(ConfigError, match="anonymize.checkpoint"):
             cmd_anonymize(anon_config(tmp_path, world_dir, None))
@@ -453,10 +485,12 @@ class TestAnonymizeCommand:
         with pytest.raises(ConfigError, match="method"):
             cmd_anonymize(anon_config(tmp_path, world_dir, trained_dir,
                                       **{"anonymize.method": "vocoder"}))
-        # selection always uses cosine distance; the key no longer exists
-        with pytest.raises(ConfigError, match="unknown config keys.*anonymize.distance"):
-            anon_config(tmp_path, world_dir, trained_dir,
-                        **{"anonymize.distance": "cosine"})
+        # selection always uses cosine distance and shift_scale always maps
+        # linear Hz; neither key exists any more
+        for key, value in (("anonymize.distance", "cosine"),
+                           ("anonymize.shift_scale_domain", "log")):
+            with pytest.raises(ConfigError, match=f"unknown config keys.*{key}"):
+                anon_config(tmp_path, world_dir, trained_dir, **{key: value})
 
     def test_escaping_utt_id_rejected(self, tmp_path, world_dir):
         test_dir = world_dir / "test"
@@ -494,6 +528,11 @@ class TestCliEntrypoints:
         assert result.exit_code == 0
         for command in ("synthgen", "train", "eval", "anonymize"):
             assert command in result.output
+
+    def test_version_from_package(self):
+        result = CliRunner().invoke(main, ["--version"])
+        assert result.exit_code == 0, result.output
+        assert "version 0.1.0" in result.output
 
     def test_unknown_key_via_set_fails(self, tmp_path):
         runner = CliRunner()

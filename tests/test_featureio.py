@@ -210,7 +210,8 @@ class TestManifest:
         (dict(bn=np.zeros((3, 5), dtype=np.float32)), None, "bn dimension 5 != 2"),
         (dict(xvec=np.zeros(3, dtype=np.float32)), None, "xvec dimension 3 != 2"),
         (dict(), ("\nu1,s0,F,", "\nu1,s0,X,"), "gender"),
-    ], ids=["utt_id", "speaker_id", "bn_width", "xvec_width", "gender"])
+        (dict(), ("\nu1,", "\nu0,"), "duplicate utt_id 'u0'"),
+    ], ids=["utt_id", "speaker_id", "bn_width", "xvec_width", "gender", "duplicate_utt_id"])
     def test_row_error_names_manifest_line(self, tmp_path, second, edit, words):
         manifest = write_dataset(Dataset([make_utt("u0"), make_utt("u1", **second)]), tmp_path)
         if edit is not None:
