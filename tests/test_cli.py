@@ -444,6 +444,8 @@ class TestAnonymizeCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("anonymize.gender_mode", "both"),
+        # a removed key: rejected as unknown before anything is written
+        ("anonymize.shift_scale_domain", "cents"),
         ("anonymize.n", 50),
         ("anonymize.k", 0),
         ("anonymize.k", 3),
