@@ -219,15 +219,16 @@ def cmd_synthgen(config: RunConfig) -> dict:
     spec = section_config(config, "synth", base_f0=base_f0, seed=config.seed)
     out_dir = config.out_dir
     manifests: dict[str, Path] = {}
-    train_ds: Dataset | None = None
+    # One role is alive at a time: the pool keeps only per-speaker stats.
     for role in ("train", "validation", "test"):
         dataset, _ = generate_synthetic_dataset(spec, role=role)
         manifests[role] = write_dataset(dataset, out_dir / role)
         if role == "train":
-            train_ds = dataset
+            pool = anon.pool_from_dataset(dataset)
         click.echo(f"{role}: {manifests[role]} ({len(dataset)} utterances, "
                    f"{dataset.total_frames} frames)")
-    pool_path = anon.write_pool(anon.pool_from_dataset(train_ds), out_dir)
+        del dataset
+    pool_path = anon.write_pool(pool, out_dir)
     click.echo(f"pool: {pool_path} ({2 * spec.n_speakers_per_gender} speakers)")
     return {"manifests": manifests, "pool": pool_path}
 

@@ -10,7 +10,9 @@ World construction
 Each speaker gets a random embedding whose first coordinate is exactly
 +1.0 (female) or -1.0 (male).  Per-frame features follow a smooth
 first-order autoregressive walk with N(0,1) marginal, so neighboring
-frames are correlated like real acoustic features.  Ground truth:
+frames are correlated like real acoustic features.  Each utterance draws
+from its own seeded stream; one recursion over time walks all of a
+speaker's utterances at once.  Ground truth:
 
     ln F0[t] = ln(base_f0[gender]) + weights . bn[t, :k]
     voiced[t] = bn[t, 1] > voicing_threshold
@@ -137,14 +139,19 @@ def _speaker_xvec(spec: SynthSpec, gender_idx: int, spk_idx: int) -> np.ndarray:
     return xvec.astype(np.float32)
 
 
-def _feature_walk(rng: np.random.Generator, n_frames: int, d: int) -> np.ndarray:
-    """AR(1) walk per dimension, N(0,1) marginal, float64."""
+def _speaker_walks(rngs: list[np.random.Generator], n_frames: int, d: int) -> np.ndarray:
+    """AR(1) walks, N(0,1) marginal, of one speaker's utterances: (utts, frames, d).
+
+    Steps come from each utterance's own stream.  IEEE + and * commute, so
+    the in-place ``scale*step[t] + c*bn[t-1]`` has the scalar walk's bits.
+    """
     innovation_scale = np.sqrt(1.0 - WALK_COEFF**2)
-    steps = rng.standard_normal((n_frames, d))
-    bn = np.empty((n_frames, d))
-    bn[0] = steps[0]
+    bn = np.empty((len(rngs), n_frames, d))
+    for rng, walk in zip(rngs, bn):
+        rng.standard_normal(out=walk)
     for t in range(1, n_frames):
-        bn[t] = WALK_COEFF * bn[t - 1] + innovation_scale * steps[t]
+        bn[:, t] *= innovation_scale
+        bn[:, t] += WALK_COEFF * bn[:, t - 1]
     return bn
 
 
@@ -168,10 +175,10 @@ def generate_synthetic_dataset(
         for spk_idx in range(spec.n_speakers_per_gender):
             speaker_id = f"{gender.value}{spk_idx:03d}"
             xvec = _speaker_xvec(spec, gender_idx, spk_idx)
-            for utt_idx in range(spec.utts_per_speaker):
-                rng = np.random.default_rng(
-                    [spec.seed, role_stream, gender_idx, spk_idx, utt_idx])
-                bn = _feature_walk(rng, spec.frames_per_utt, spec.d_bn)
+            rngs = [np.random.default_rng([spec.seed, role_stream, gender_idx, spk_idx, u])
+                    for u in range(spec.utts_per_speaker)]
+            walks = _speaker_walks(rngs, spec.frames_per_utt, spec.d_bn)
+            for utt_idx, (rng, bn) in enumerate(zip(rngs, walks)):
                 bn32 = bn.astype(np.float32)
                 if noise_log_std > 0:
                     voiced = mapping.voiced_mask(bn32)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from f0synth.anonymize import SpeakerPool, load_pool, write_pool
+from f0synth.anonymize import SpeakerPool, load_pool, pool_from_dataset, write_pool
 from f0synth.cli import (
     KNOWN_KEYS,
     ConfigError,
@@ -170,6 +170,14 @@ class TestSynthgenCommand:
         assert pool.is_file()
         assert pool.read_text().splitlines()[0] == \
             "speaker_id,gender,xvec_path,f0_mean,f0_std"
+
+    def test_pool_equals_pool_of_written_train_role(self, tmp_path, world_dir):
+        # the pool is built from the in-memory train role before later roles
+        # exist; it must match one built from the train files on disk
+        write_pool(pool_from_dataset(load_manifest(world_dir / "train" / "manifest.csv")),
+                   tmp_path)
+        assert (tmp_path / "pool.csv").read_bytes() == (world_dir / "pool.csv").read_bytes()
+        assert tree_hash(tmp_path / "pool_xvecs") == tree_hash(world_dir / "pool_xvecs")
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

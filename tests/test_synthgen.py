@@ -2,7 +2,45 @@ import numpy as np
 import pytest
 
 from f0synth.featureio import Gender, load_manifest, write_dataset
-from f0synth.synthgen import SynthSpec, generate_synthetic_dataset
+from f0synth.synthgen import (
+    DATASET_ROLES,
+    LOG_PER_CENT,
+    WALK_COEFF,
+    SynthSpec,
+    generate_synthetic_dataset,
+)
+
+
+def scalar_walk(rng, n_frames, d):
+    """Reference: one utterance's AR(1) walk, one frame at a time."""
+    innovation_scale = np.sqrt(1.0 - WALK_COEFF**2)
+    steps = rng.standard_normal((n_frames, d))
+    bn = np.empty((n_frames, d))
+    bn[0] = steps[0]
+    for t in range(1, n_frames):
+        bn[t] = WALK_COEFF * bn[t - 1] + innovation_scale * steps[t]
+    return bn
+
+
+def reference_utterances(spec, role, mapping):
+    """Reference (utt_id, bn32, f0) per utterance, each from its own stream."""
+    role_stream = 2 + DATASET_ROLES.index(role)  # after the mapping and speaker streams
+    noise_log_std = spec.noise_std_cents * LOG_PER_CENT
+    for gender_idx, gender in enumerate((Gender.F, Gender.M)):
+        for spk_idx in range(spec.n_speakers_per_gender):
+            for utt_idx in range(spec.utts_per_speaker):
+                rng = np.random.default_rng(
+                    [spec.seed, role_stream, gender_idx, spk_idx, utt_idx])
+                bn32 = scalar_walk(rng, spec.frames_per_utt, spec.d_bn).astype(np.float32)
+                if noise_log_std > 0:
+                    logf0 = mapping.logf0(gender, bn32)
+                    logf0 += rng.normal(0.0, noise_log_std, size=len(logf0))
+                    f0 = np.where(mapping.voiced_mask(bn32), np.exp(logf0), 0.0)
+                    f0 = f0.astype(np.float32)
+                else:
+                    f0 = mapping.f0(gender, bn32)
+                utt_id = f"{gender.value}{spk_idx:03d}_{role[0]}{utt_idx:03d}"
+                yield utt_id, bn32, f0
 
 
 class TestSynthSpec:
@@ -84,6 +122,28 @@ class TestGeneration:
     def test_bad_role_rejected(self):
         with pytest.raises(ValueError, match="role"):
             generate_synthetic_dataset(SynthSpec(), role="dev")
+
+
+class TestBatchedWalk:
+    @pytest.mark.parametrize("role", DATASET_ROLES)
+    @pytest.mark.parametrize("kwargs", [
+        dict(utts_per_speaker=3, frames_per_utt=40, d_bn=5),
+        dict(utts_per_speaker=3, frames_per_utt=40, d_bn=5, noise_std_cents=25.0),
+        dict(utts_per_speaker=1, frames_per_utt=30, d_bn=2),
+        dict(utts_per_speaker=1, frames_per_utt=30, d_bn=2, noise_std_cents=10.0),
+        dict(utts_per_speaker=4, frames_per_utt=1, d_bn=2),
+        dict(utts_per_speaker=2, frames_per_utt=1, d_bn=3, noise_std_cents=15.0),
+    ], ids=["noiseless", "noisy", "one_utt", "one_utt_noisy", "one_frame",
+            "one_frame_noisy"])
+    def test_bits_equal_scalar_walk(self, kwargs, role):
+        spec = SynthSpec(n_speakers_per_gender=2, d_xv=2, seed=41, **kwargs)
+        ds, mapping = generate_synthetic_dataset(spec, role=role)
+        expected = list(reference_utterances(spec, role, mapping))
+        assert len(ds) == len(expected)
+        for utt, (utt_id, bn32, f0) in zip(ds.utterances, expected):
+            assert utt.utt_id == utt_id
+            assert np.array_equal(utt.bn.view(np.uint32), bn32.view(np.uint32))
+            assert np.array_equal(utt.f0.view(np.uint32), f0.view(np.uint32))
 
 
 class TestGroundTruthMapping:
