@@ -220,11 +220,13 @@ def cmd_synthgen(config: RunConfig) -> dict:
     out_dir = config.out_dir
     manifests: dict[str, Path] = {}
     # One role is alive at a time: the pool keeps only per-speaker stats.
+    # It is built before anything is written, so a world that cannot
+    # yield one fails with no files left behind.
     for role in ("train", "validation", "test"):
         dataset, _ = generate_synthetic_dataset(spec, role=role)
-        manifests[role] = write_dataset(dataset, out_dir / role)
         if role == "train":
             pool = anon.pool_from_dataset(dataset)
+        manifests[role] = write_dataset(dataset, out_dir / role)
         click.echo(f"{role}: {manifests[role]} ({len(dataset)} utterances, "
                    f"{dataset.total_frames} frames)")
         del dataset
@@ -235,16 +237,19 @@ def cmd_synthgen(config: RunConfig) -> dict:
 
 def cmd_train(config: RunConfig) -> dict:
     """Train on a manifest pair; write checkpoint.f0md and history.csv."""
-    train_ds = load_manifest(config.require("train.manifest"))
-    val_ds = load_manifest(config.require("train.val_manifest"))
+    train_manifest = config.require("train.manifest")
+    val_manifest = config.require("train.val_manifest")
+    out_dir = config.out_dir
+    # Made before any data is read, so an unusable out_dir fails before training.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    train_ds = load_manifest(train_manifest)
+    val_ds = load_manifest(val_manifest)
     if not len(train_ds) or not len(val_ds):
         raise ValueError("empty dataset")
     table = build_frame_table(train_ds)
     model_config = section_config(config, "model", input_dim=table.rows.shape[1])
     train_config = section_config(config, "train", seed=config.seed)
     params, history = train(table, val_ds, model_config, train_config)
-    out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint = out_dir / "checkpoint.f0md"
     save_checkpoint(checkpoint, params, dropout=model_config.dropout)
     history_path = out_dir / "history.csv"

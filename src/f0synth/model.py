@@ -110,17 +110,31 @@ class Gradients:
 
 @dataclass
 class ForwardCache:
-    """Batch intermediates for the backward pass.
+    """Batch intermediates for the backward pass, reusable as forward's workspace.
 
     ``inputs`` is the batch; ``pre_acts[i]``/``post_acts[i]`` are layer i's
     affine output and its activation after ReLU (and dropout, when on);
-    ``dropout_masks[i]`` holds the inverted-scaled mask or None.
+    the output layer's two are one array.  ``dropout_masks[i]`` holds the
+    inverted-scaled mask or None.
     """
 
     inputs: np.ndarray
     pre_acts: list[np.ndarray]
     post_acts: list[np.ndarray]
     dropout_masks: list[np.ndarray | None]
+
+    @classmethod
+    def empty(cls, params: "ModelParams", rows: int) -> "ForwardCache":
+        """Uninitialized arrays for a ``rows``-row batch through ``params``' layers."""
+        pre = [np.empty((rows, w.shape[0])) for w in params.weights]
+        post = [np.empty_like(z) for z in pre[:-1]] + [pre[-1]]
+        return cls(np.empty((rows, params.input_dim)), pre, post, [None] * len(pre))
+
+    def head(self, rows: int) -> "ForwardCache":
+        """A cache over the first ``rows`` rows of these arrays: views, no copies."""
+        pre = [z[:rows] for z in self.pre_acts]
+        post = [a[:rows] for a in self.post_acts[:-1]] + [pre[-1]]
+        return ForwardCache(self.inputs[:rows], pre, post, [None] * len(pre))
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
@@ -144,12 +158,18 @@ def forward(
     train_mode: bool = False,
     dropout: float = 0.0,
     dropout_seed=None,
+    cache: ForwardCache | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run the network on a normalized batch (B x input_dim).
 
     Returns (f0hat_norm, voicing logits, cache).  Dropout applies to
     hidden activations only, inverted-scaled by 1/(1-dropout), and only
     when ``train_mode`` and ``dropout > 0``; inference never drops.
+
+    A ``cache`` for B rows and these layer shapes (from ``ForwardCache.empty``
+    or ``head``, or an earlier call) is overwritten in place instead of
+    allocating new arrays; the bits are the same either way.  The returned
+    outputs are views into the cache, so they hold only until its next use.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != params.input_dim:
@@ -157,28 +177,39 @@ def forward(
             f"batch must be B x {params.input_dim}, got {batch.shape}")
     if not np.isfinite(batch).all():
         raise ValueError("non-finite value in batch")
+    rows = batch.shape[0]
+    n_layers = params.n_layers
+    fresh = cache is None
+    if fresh:
+        cache = ForwardCache(batch, [None] * n_layers, [None] * n_layers, [None] * n_layers)
+    elif [z.shape for z in cache.pre_acts] != [(rows, w.shape[0]) for w in params.weights]:
+        raise ValueError("cache does not match batch rows or layer widths")
     drop = train_mode and dropout > 0.0
     rng = np.random.default_rng(dropout_seed) if drop else None
+    cache.inputs = batch
     a = batch
-    pre_acts, post_acts, masks = [], [], []
-    last = params.n_layers - 1
+    last = n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
-        pre_acts.append(z)
+        if fresh:
+            # A fresh sum frees the product's temporary at once for the next
+            # allocation to reuse; keeping the product made 520-row calls
+            # about 30% slower.
+            z = cache.pre_acts[i] = a @ w.T + b
+        else:
+            z = np.matmul(a, w.T, out=cache.pre_acts[i])
+            z += b
         if i == last:
             a, mask = z, None
         else:
-            a = np.maximum(z, 0.0)
+            a = cache.post_acts[i] = np.maximum(z, 0.0, out=cache.post_acts[i])
             if drop:
                 mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
-                a = a * mask
+                a *= mask
             else:
                 mask = None
-        post_acts.append(a)
-        masks.append(mask)
-    out = post_acts[-1]
-    cache = ForwardCache(batch, pre_acts, post_acts, masks)
-    return out[:, 0], out[:, 1], cache
+        cache.dropout_masks[i] = mask
+    cache.post_acts[last] = a
+    return a[:, 0], a[:, 1], cache
 
 
 def backward(
@@ -202,7 +233,9 @@ def backward(
     dL_dg = np.asarray(dL_dg, dtype=np.float64)
     if dL_df0hat.shape != (b_rows,) or dL_dg.shape != (b_rows,):
         raise ValueError("output gradients must be length-B vectors")
-    d_z = np.column_stack([dL_df0hat, dL_dg])
+    d_z = np.empty((b_rows, OUTPUT_UNITS))
+    d_z[:, 0] = dL_df0hat
+    d_z[:, 1] = dL_dg
     d_weights: list[np.ndarray] = [None] * params.n_layers
     d_biases: list[np.ndarray] = [None] * params.n_layers
     for i in range(params.n_layers - 1, -1, -1):
@@ -211,11 +244,13 @@ def backward(
         d_biases[i] = d_z.sum(axis=0)
         if i == 0:
             break
+        # d_a is fresh, so the in-place products leave the cache intact.
+        # Multiplying (not assigning zeros) keeps the sign of zero products.
         d_a = d_z @ params.weights[i]
         mask = cache.dropout_masks[i - 1]
         if mask is not None:
-            d_a = d_a * mask
-        d_z = d_a * (cache.pre_acts[i - 1] > 0.0)
+            np.multiply(d_a, mask, out=d_a)
+        d_z = np.multiply(d_a, cache.pre_acts[i - 1] > 0.0, out=d_a)
     return Gradients(d_weights, d_biases)
 
 
@@ -230,19 +265,26 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def infer_f0(params: ModelParams, normed: np.ndarray,
+             cache: ForwardCache | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Inference on normalized rows: (f0_hz, voicing logits).
+
+    A frame is voiced iff its logit is >= 0 (the mask reads the logit
+    sign, so the boundary logit 0 is voiced); voiced frames get exp of the
+    denormalized log-F0 prediction, unvoiced frames are exactly 0 Hz.
+    ``cache`` is passed to ``forward``; the logits are a view into it.
+    """
+    f0hat_norm, g, _ = forward(params, normed, cache=cache)
+    hz = np.exp(params.norm.denormalize_logf0(f0hat_norm))
+    return np.where(g >= 0.0, hz, 0.0), g
+
+
 def predict_f0(params: ModelParams, features_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masked inference on raw (unnormalized) feature rows.
 
-    Returns (f0_hz, p_voiced).  A frame is voiced iff its logit is >= 0
-    (the mask reads the logit sign, so the boundary logit 0 is voiced);
-    voiced frames get exp of the denormalized log-F0 prediction, unvoiced
-    frames are exactly 0 Hz.
+    Returns (f0_hz, p_voiced); see ``infer_f0`` for the voicing mask.
     """
-    normed = params.norm.normalize_inputs(features_raw)
-    f0hat_norm, g, _ = forward(params, normed, train_mode=False)
-    voiced = g >= 0.0
-    hz = np.exp(params.norm.denormalize_logf0(f0hat_norm))
-    f0 = np.where(voiced, hz, 0.0)
+    f0, g = infer_f0(params, params.norm.normalize_inputs(features_raw))
     return f0, sigmoid(g)
 
 

@@ -34,15 +34,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .featureio import Dataset, FrameTable, compute_norm_stats
-from .metrics import FrameCounts, pitch_error_counts
+from .metrics import pitch_error_counts
 from .model import (
+    ForwardCache,
     Gradients,
     ModelConfig,
     ModelParams,
     backward,
     forward,
+    infer_f0,
     init_params,
-    predict_f0,
+    predict_f0,  # noqa: F401  unused here; bench/tracer.py wraps this binding
     sigmoid,
 )
 
@@ -233,15 +235,46 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def validation_metric(params: ModelParams, val_dataset: Dataset) -> float:
-    """Accurately-processed fraction pooled over all validation frames."""
-    pooled = FrameCounts(0, 0, 0, 0, 0, 0)
-    for utt in val_dataset.utterances:
-        pred, _ = predict_f0(params, utt.features())
-        pooled = pooled + pitch_error_counts(pred, utt.f0)
-    if pooled.total == 0:
+@dataclass
+class ValidationSet:
+    """Validation frames prepared once for a run's fixed normalization.
+
+    ``rows`` holds each utterance's normalized feature rows, ``truth_f0``
+    all frames' truth F0 in Hz, in utterance order; ``pred_f0`` and
+    ``workspace`` (sized for the longest utterance) are rewritten on every
+    call of ``validation_metric``.
+    """
+
+    rows: list[np.ndarray]
+    truth_f0: np.ndarray
+    pred_f0: np.ndarray
+    workspace: ForwardCache
+
+
+def prepare_validation(params: ModelParams, val_dataset: Dataset) -> ValidationSet:
+    """Normalize every validation utterance with ``params.norm``, once."""
+    if val_dataset.total_frames == 0:
         raise ValueError("validation dataset has no frames")
-    return pooled.accurately_processed
+    rows = [params.norm.normalize_inputs(u.features()) for u in val_dataset.utterances]
+    truth = np.concatenate([u.f0.astype(np.float64) for u in val_dataset.utterances])
+    workspace = ForwardCache.empty(params, max(len(r) for r in rows))
+    return ValidationSet(rows, truth, np.empty_like(truth), workspace)
+
+
+def validation_metric(params: ModelParams, val: ValidationSet) -> float:
+    """Accurately-processed fraction pooled over all validation frames.
+
+    Each utterance runs through the network on its own, as ``predict_f0``
+    runs it; the pitch counts are integer sums, so counting the
+    concatenated frames once equals pooling per-utterance counts.
+    """
+    start = 0
+    for rows in val.rows:
+        stop = start + len(rows)
+        val.pred_f0[start:stop], _ = infer_f0(params, rows,
+                                              cache=val.workspace.head(len(rows)))
+        start = stop
+    return pitch_error_counts(val.pred_f0, val.truth_f0).accurately_processed
 
 
 def train(
@@ -257,7 +290,8 @@ def train(
     included), and validated with the accurately-processed metric; the
     plateau scheduler drives lr reductions and early stopping.  The
     returned parameters are the copy that achieved the best validation
-    metric, not the last epoch's.
+    metric, not the last epoch's.  Validation rows are normalized once per
+    run, and every batch runs in one reused workspace.
     """
     if train_table.n_rows == 0:
         raise ValueError("empty training table")
@@ -274,6 +308,7 @@ def train(
     targets = np.where(train_table.voiced,
                        params.norm.normalize_logf0(train_table.target_logf0), 0.0)
     voiced = train_table.voiced
+    val = prepare_validation(params, val_dataset)
 
     opt = init_optimizer(params)
     sched = SchedulerState(
@@ -285,6 +320,7 @@ def train(
     history = TrainHistory()
     best_params = params.copy()
     n = train_table.n_rows
+    workspace = ForwardCache.empty(params, min(n, train_config.batch_size))
 
     for epoch in range(train_config.max_epochs):
         epoch_lr = sched.current_lr
@@ -296,6 +332,7 @@ def train(
                 params, inputs[idx], train_mode=True,
                 dropout=model_config.dropout,
                 dropout_seed=[train_config.seed, epoch, batch_idx],
+                cache=workspace.head(len(idx)),
             )
             loss, d_f0hat, d_g = composite_loss(
                 f0hat, g, targets[idx], voiced[idx], train_config.alpha)
@@ -304,7 +341,7 @@ def train(
             loss_sum += loss * len(idx)
         train_loss = loss_sum / n
 
-        metric = validation_metric(params, val_dataset)
+        metric = validation_metric(params, val)
         action = scheduler_update(sched, metric)
         if sched.epochs_since_improve == 0:
             best_params = params.copy()

@@ -199,6 +199,14 @@ class TestSynthgenCommand:
         assert result.exit_code == 1
         assert "error:" in result.output
 
+    def test_world_without_pool_fails_before_writing(self, tmp_path):
+        out = tmp_path / "w"
+        keys = dict(WORLD_KEYS, **{"synth.frames_per_utt": 1, "synth.utts_per_speaker": 1})
+        with pytest.raises(ValueError, match="voiced frames, need >= 2"):
+            cmd_synthgen(config_for(out, **keys))
+        assert not (out / "train").exists()
+        assert not out.exists()
+
     def test_cli_exit_zero_on_success(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, [
@@ -246,6 +254,20 @@ class TestTrainCommand:
             (trained_dir / "history.csv").read_bytes()
         assert (out / "checkpoint.f0md").read_bytes() == \
             (trained_dir / "checkpoint.f0md").read_bytes()
+
+    def test_file_as_out_dir_fails_before_training(self, tmp_path, world_dir, monkeypatch):
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a file where a directory must go")
+
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("train ran before out_dir was checked")
+
+        monkeypatch.setattr("f0synth.cli.train", must_not_train)
+        with pytest.raises(FileExistsError):
+            cmd_train(config_for(
+                blocker,
+                **{"train.manifest": world_dir / "train" / "manifest.csv",
+                   "train.val_manifest": world_dir / "validation" / "manifest.csv"}))
 
     def test_missing_manifest_fails(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -38,6 +38,57 @@ def naive_forward(params, batch):
     return out[:, 0], out[:, 1]
 
 
+def reference_forward(params, batch, train_mode=False, dropout=0.0, dropout_seed=None):
+    """Reference: the allocating forward pass, a fresh array per step."""
+    drop = train_mode and dropout > 0.0
+    rng = np.random.default_rng(dropout_seed) if drop else None
+    a = np.asarray(batch, dtype=np.float64)
+    pre_acts, post_acts, masks = [], [], []
+    last = params.n_layers - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = a @ w.T + b
+        pre_acts.append(z)
+        if i == last:
+            a, mask = z, None
+        else:
+            a = np.maximum(z, 0.0)
+            if drop:
+                mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
+                a = a * mask
+            else:
+                mask = None
+        post_acts.append(a)
+        masks.append(mask)
+    return a[:, 0], a[:, 1], ForwardCache(batch, pre_acts, post_acts, masks)
+
+
+def reference_backward(params, cache, dL_df0hat, dL_dg):
+    """Reference: the allocating backward pass, ReLU mask as a product."""
+    d_z = np.column_stack([dL_df0hat, dL_dg])
+    d_weights, d_biases = [None] * params.n_layers, [None] * params.n_layers
+    for i in range(params.n_layers - 1, -1, -1):
+        a_prev = cache.inputs if i == 0 else cache.post_acts[i - 1]
+        d_weights[i] = d_z.T @ a_prev
+        d_biases[i] = d_z.sum(axis=0)
+        if i == 0:
+            break
+        d_a = d_z @ params.weights[i]
+        mask = cache.dropout_masks[i - 1]
+        if mask is not None:
+            d_a = d_a * mask
+        d_z = d_a * (cache.pre_acts[i - 1] > 0.0)
+    return Gradients(d_weights, d_biases)
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(bits(a), bits(b))
+
+
 def toy_params(seed=0, input_dim=5, hidden=(4, 3)):
     config = ModelConfig(input_dim=input_dim, hidden_sizes=list(hidden))
     return init_params(config, seed), config
@@ -236,6 +287,98 @@ class TestBackward:
         _, _, cache = forward(params, batch)
         with pytest.raises(ValueError, match="cache"):
             backward(other, cache, np.zeros(2), np.zeros(2))
+
+
+class TestWorkspaceOracle:
+    """Cached forward and backward against the allocating reference, bit for bit."""
+
+    @staticmethod
+    def check_step(params, batch, u, v, cache=None, **drop):
+        ref_f0, ref_g, ref_cache = reference_forward(params, batch, **drop)
+        ref_grads = reference_backward(params, ref_cache, u, v)
+        f0hat, g, out_cache = forward(params, batch, cache=cache, **drop)
+        if cache is not None:
+            assert out_cache is cache
+        assert_bits_equal(f0hat, ref_f0)
+        assert_bits_equal(g, ref_g)
+        for mask, ref_mask in zip(out_cache.dropout_masks, ref_cache.dropout_masks):
+            assert (mask is None) == (ref_mask is None)
+            if mask is not None:
+                assert_bits_equal(mask, ref_mask)
+        grads = backward(params, out_cache, u, v)
+        for got, ref in zip((*grads.weights, *grads.biases),
+                            (*ref_grads.weights, *ref_grads.biases)):
+            assert_bits_equal(got, ref)
+        return grads
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_reused_workspace_across_row_counts(self, dropout):
+        params, _ = toy_params(seed=4, input_dim=6, hidden=(9, 7, 5))
+        rng = np.random.default_rng(12)
+        workspace = ForwardCache.empty(params, 16)
+        # full, partial, full again, all in one workspace, and every step
+        # sees new params, as in the training loop
+        for step, rows in enumerate((16, 5, 16, 5)):
+            params = ModelParams([w + rng.normal(scale=0.1, size=w.shape) for w in params.weights],
+                                 [b + rng.normal(scale=0.1, size=b.shape) for b in params.biases],
+                                 params.norm)
+            self.check_step(params, rng.normal(size=(rows, 6)), rng.normal(size=rows),
+                            rng.normal(size=rows), cache=workspace.head(rows),
+                            train_mode=True, dropout=dropout, dropout_seed=[3, step])
+        assert np.shares_memory(workspace.head(5).pre_acts[0], workspace.pre_acts[0])
+
+    def test_without_cache_matches_reference(self):
+        params, _ = toy_params(seed=6, input_dim=5, hidden=(8, 4))
+        rng = np.random.default_rng(2)
+        for drop in (dict(), dict(train_mode=True, dropout=0.5, dropout_seed=9)):
+            self.check_step(params, rng.normal(size=(11, 5)), rng.normal(size=11),
+                            rng.normal(size=11), **drop)
+
+    def test_negative_zero_summands_match_reference(self):
+        params, _ = toy_params(seed=1, input_dim=5, hidden=(4, 3))
+        # Hidden unit 0 of the last hidden layer is dead on every row, and
+        # its upstream gradient is negative on every row: every masked
+        # product the gradient sums read for it is -0.0, where zeroing by
+        # assignment would give +0.0.
+        biases = [b.copy() for b in params.biases]
+        biases[1][0] = -1e3
+        weights = [w.copy() for w in params.weights]
+        weights[2][0, 0] = -0.5
+        params = ModelParams(weights, biases, params.norm)
+        rows = 6
+        batch = np.random.default_rng(5).normal(size=(rows, 5))
+        u, v = np.ones(rows), np.full(rows, -0.0)
+        _, _, ref_cache = reference_forward(params, batch)
+        masked = (np.column_stack([u, v]) @ weights[2]) * (ref_cache.pre_acts[1] > 0.0)
+        assert (masked[:, 0] == 0.0).all() and np.signbit(masked[:, 0]).all()
+        self.check_step(params, batch, u, v, cache=ForwardCache.empty(params, rows))
+
+    def test_backward_twice_leaves_cache_unchanged(self):
+        params, _ = toy_params(seed=8, input_dim=5, hidden=(6, 4))
+        rng = np.random.default_rng(7)
+        rows = 9
+        _, _, cache = forward(params, rng.normal(size=(rows, 5)), train_mode=True,
+                              dropout=0.25, dropout_seed=4,
+                              cache=ForwardCache.empty(params, rows))
+        snapshot = [a.copy() for a in (cache.inputs, *cache.pre_acts, *cache.post_acts,
+                                       *cache.dropout_masks[:-1])]
+        u, v = rng.normal(size=rows), rng.normal(size=rows)
+        first = backward(params, cache, u, v)
+        second = backward(params, cache, u, v)
+        for a, b in zip((*first.weights, *first.biases), (*second.weights, *second.biases)):
+            assert_bits_equal(a, b)
+        after = (cache.inputs, *cache.pre_acts, *cache.post_acts, *cache.dropout_masks[:-1])
+        for a, b in zip(snapshot, after):
+            assert_bits_equal(a, b)
+
+    def test_mismatched_cache_rejected(self):
+        params, _ = toy_params()
+        cache = ForwardCache.empty(params, 4)
+        with pytest.raises(ValueError, match="cache"):
+            forward(params, np.zeros((3, 5)), cache=cache)
+        other, _ = toy_params(hidden=(7, 3))
+        with pytest.raises(ValueError, match="cache"):
+            forward(other, np.zeros((4, 5)), cache=cache)
 
 
 class TestSigmoid:

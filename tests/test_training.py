@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from f0synth.featureio import Dataset, Gender, Utterance, build_frame_table
-from f0synth.model import ModelConfig, backward, forward, init_params
+from f0synth.metrics import FrameCounts, pitch_error_counts
+from f0synth.model import ModelConfig, backward, forward, init_params, predict_f0
 from f0synth.synthgen import SynthSpec, generate_synthetic_dataset
 from f0synth.training import (
     Gradients,
@@ -12,6 +13,7 @@ from f0synth.training import (
     composite_loss,
     init_optimizer,
     nadam_step,
+    prepare_validation,
     scheduler_update,
     train,
     validation_metric,
@@ -358,7 +360,8 @@ class TestTrainLoop:
         train_ds, val_ds, _ = tiny_world()
         params, history = self.run(max_epochs=5)
         best = max(r.val_metric for r in history.records)
-        assert validation_metric(params, val_ds) == pytest.approx(best, abs=1e-12)
+        metric = validation_metric(params, prepare_validation(params, val_ds))
+        assert metric == pytest.approx(best, abs=1e-12)
 
     def test_loss_decreases_on_learnable_world(self):
         _, history = self.run(max_epochs=8, lr=0.003)
@@ -371,11 +374,14 @@ class TestTrainLoop:
         assert len(history) == 1
 
     def test_dropout_training_runs_and_stays_deterministic(self):
+        # 1200 frames in batches of 256 end on a partial batch, so one
+        # workspace serves two batch sizes; the second run must not see
+        # anything the first left in its own
         p1, h1 = self.run(max_epochs=2, dropout=0.2)
         p2, h2 = self.run(max_epochs=2, dropout=0.2)
         assert h1.to_csv_text() == h2.to_csv_text()
-        for a, b in zip(p1.weights, p2.weights):
-            assert np.array_equal(a, b)
+        for a, b in zip((*p1.weights, *p1.biases), (*p2.weights, *p2.biases)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_history_csv_shape(self):
         _, history = self.run(max_epochs=2)
@@ -397,6 +403,43 @@ class TestTrainLoop:
         mc = ModelConfig(input_dim=99, hidden_sizes=[8])
         with pytest.raises(ValueError, match="input_dim"):
             train(table, val_ds, mc, TrainConfig(max_epochs=1))
+
+
+def uneven_validation_world():
+    """Validation utterances cut to different lengths, some repeated."""
+    _, val_ds, _ = tiny_world()
+    cut = [Utterance(f"{u.utt_id}x", u.speaker_id, u.gender, u.f0[:n], u.bn[:n], u.xvec)
+           for u, n in zip(val_ds.utterances, (150, 37, 1, 150, 90, 37, 64, 150))]
+    return Dataset(cut)
+
+
+class TestValidationMetric:
+    def test_equals_pooled_per_utterance_predict_f0(self):
+        train_ds, _, _ = tiny_world()
+        table = build_frame_table(train_ds)
+        val_ds = uneven_validation_world()
+        params, _ = train(table, val_ds,
+                          ModelConfig(input_dim=table.rows.shape[1], hidden_sizes=[16, 8]),
+                          TrainConfig(max_epochs=2, batch_size=256, lr=0.003))
+        assert len({u.n_frames for u in val_ds.utterances}) == 5
+        pooled = FrameCounts(0, 0, 0, 0, 0, 0)
+        preds = []
+        for utt in val_ds.utterances:
+            pred, _ = predict_f0(params, utt.features())
+            preds.append(pred)
+            pooled = pooled + pitch_error_counts(pred, utt.f0)
+        val = prepare_validation(params, val_ds)
+        for _ in range(2):  # the second call runs on the reused buffers
+            assert validation_metric(params, val) == pooled.accurately_processed
+            assert np.array_equal(val.pred_f0.view(np.uint64),
+                                  np.concatenate(preds).view(np.uint64))
+
+    def test_no_frames_rejected(self):
+        params = init_params(ModelConfig(input_dim=6, hidden_sizes=[4]), 0)
+        empty = Dataset([Utterance("u0", "s0", Gender.F, np.zeros(0), np.zeros((0, 4)),
+                                   np.zeros(2))])
+        with pytest.raises(ValueError, match="no frames"):
+            prepare_validation(params, empty)
 
 
 class TestTrainConfig:
