@@ -62,6 +62,8 @@ class PoolEntry:
             raise ValueError(f"pool entry {self.speaker_id!r}: xvec must be 1-D")
         if not np.isfinite(self.xvec).all():
             raise ValueError(f"pool entry {self.speaker_id!r}: non-finite xvec")
+        if np.linalg.norm(self.xvec) == 0.0:
+            raise ValueError(f"pool entry {self.speaker_id!r}: zero-norm xvec")
         if not (self.f0_mean > 0 and self.f0_std > 0):
             raise ValueError(
                 f"pool entry {self.speaker_id!r}: f0 stats must be positive "

@@ -278,6 +278,7 @@ def cmd_eval(config: RunConfig) -> dict:
     if (checkpoint is None) == (pred_manifest is None):
         raise ConfigError(
             "set exactly one of eval.checkpoint or eval.pred_manifest")
+    truth = {u.utt_id: u.f0.astype(np.float64) for u in truth_ds.utterances}
     if checkpoint is not None:
         params = load_matching_checkpoint(checkpoint, truth_ds)
         pred = {u.utt_id: predict_f0(params, u.features())[0]
@@ -285,7 +286,10 @@ def cmd_eval(config: RunConfig) -> dict:
     else:
         pred_ds = load_manifest(pred_manifest)
         pred = {u.utt_id: u.f0.astype(np.float64) for u in pred_ds.utterances}
-    truth = {u.utt_id: u.f0.astype(np.float64) for u in truth_ds.utterances}
+        missing, extra = sorted(truth.keys() - pred.keys()), sorted(pred.keys() - truth.keys())
+        if missing or extra:
+            raise ValueError(f"{pred_manifest}: utt_ids differ from the truth manifest "
+                             f"(missing {missing[:5]}, extra {extra[:5]})")
 
     dataset_name = config.get("eval.dataset_name", "test")
     groups: list[tuple[str, set[str]]] = []
@@ -350,6 +354,9 @@ def cmd_anonymize(config: RunConfig) -> dict:
     if pool_width != source_width:
         raise ValueError(f"{pool_path}: pool xvec width {pool_width} != "
                          f"{source_width} of the manifest")
+    for utt in sources.utterances:
+        if np.linalg.norm(utt.xvec.astype(np.float64)) == 0.0:
+            raise ValueError(f"utterance {utt.utt_id!r}: zero-norm xvec")
 
     params = (load_matching_checkpoint(config.require("anonymize.checkpoint"), sources)
               if method == "synthesis" else None)

@@ -110,31 +110,19 @@ class Gradients:
 
 @dataclass
 class ForwardCache:
-    """Batch intermediates for the backward pass, reusable as forward's workspace.
+    """One forward pass's intermediates, kept for the backward pass.
 
     ``inputs`` is the batch; ``pre_acts[i]``/``post_acts[i]`` are layer i's
     affine output and its activation after ReLU (and dropout, when on);
     the output layer's two are one array.  ``dropout_masks[i]`` holds the
-    inverted-scaled mask or None.
+    inverted-scaled mask or None.  The activations are views of one buffer
+    that ``forward`` allocates per call.
     """
 
     inputs: np.ndarray
     pre_acts: list[np.ndarray]
     post_acts: list[np.ndarray]
     dropout_masks: list[np.ndarray | None]
-
-    @classmethod
-    def empty(cls, params: "ModelParams", rows: int) -> "ForwardCache":
-        """Uninitialized arrays for a ``rows``-row batch through ``params``' layers."""
-        pre = [np.empty((rows, w.shape[0])) for w in params.weights]
-        post = [np.empty_like(z) for z in pre[:-1]] + [pre[-1]]
-        return cls(np.empty((rows, params.input_dim)), pre, post, [None] * len(pre))
-
-    def head(self, rows: int) -> "ForwardCache":
-        """A cache over the first ``rows`` rows of these arrays: views, no copies."""
-        pre = [z[:rows] for z in self.pre_acts]
-        post = [a[:rows] for a in self.post_acts[:-1]] + [pre[-1]]
-        return ForwardCache(self.inputs[:rows], pre, post, [None] * len(pre))
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
@@ -158,7 +146,6 @@ def forward(
     train_mode: bool = False,
     dropout: float = 0.0,
     dropout_seed=None,
-    cache: ForwardCache | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run the network on a normalized batch (B x input_dim).
 
@@ -166,10 +153,8 @@ def forward(
     hidden activations only, inverted-scaled by 1/(1-dropout), and only
     when ``train_mode`` and ``dropout > 0``; inference never drops.
 
-    A ``cache`` for B rows and these layer shapes (from ``ForwardCache.empty``
-    or ``head``, or an earlier call) is overwritten in place instead of
-    allocating new arrays; the bits are the same either way.  The returned
-    outputs are views into the cache, so they hold only until its next use.
+    Each call allocates one float64 buffer of B x (2 * summed layer widths
+    - 2) values and writes every layer in place into views of it.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != params.input_dim:
@@ -178,37 +163,30 @@ def forward(
     if not np.isfinite(batch).all():
         raise ValueError("non-finite value in batch")
     rows = batch.shape[0]
-    n_layers = params.n_layers
-    fresh = cache is None
-    if fresh:
-        cache = ForwardCache(batch, [None] * n_layers, [None] * n_layers, [None] * n_layers)
-    elif [z.shape for z in cache.pre_acts] != [(rows, w.shape[0]) for w in params.weights]:
-        raise ValueError("cache does not match batch rows or layer widths")
+    buf = np.empty(rows * (2 * sum(w.shape[0] for w in params.weights) - OUTPUT_UNITS))
+    off = 0
+
+    def take(width: int) -> np.ndarray:
+        nonlocal off
+        off += rows * width
+        return buf[off - rows * width:off].reshape(rows, width)
+
     drop = train_mode and dropout > 0.0
     rng = np.random.default_rng(dropout_seed) if drop else None
-    cache.inputs = batch
+    cache = ForwardCache(batch, [], [], [])
     a = batch
-    last = n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if fresh:
-            # A fresh sum frees the product's temporary at once for the next
-            # allocation to reuse; keeping the product made 520-row calls
-            # about 30% slower.
-            z = cache.pre_acts[i] = a @ w.T + b
-        else:
-            z = np.matmul(a, w.T, out=cache.pre_acts[i])
-            z += b
-        if i == last:
-            a, mask = z, None
-        else:
-            a = cache.post_acts[i] = np.maximum(z, 0.0, out=cache.post_acts[i])
+        z = np.matmul(a, w.T, out=take(w.shape[0]))
+        z += b
+        a, mask = z, None
+        if i < params.n_layers - 1:
+            a = np.maximum(z, 0.0, out=take(w.shape[0]))
             if drop:
                 mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
                 a *= mask
-            else:
-                mask = None
-        cache.dropout_masks[i] = mask
-    cache.post_acts[last] = a
+        cache.pre_acts.append(z)
+        cache.post_acts.append(a)
+        cache.dropout_masks.append(mask)
     return a[:, 0], a[:, 1], cache
 
 
@@ -223,11 +201,8 @@ def backward(
     The upstream vectors must already carry the loss's averaging factors;
     this pass only sums over rows.  ReLU's subgradient at 0 is 0.
     """
-    if len(cache.pre_acts) != params.n_layers:
-        raise ValueError("cache does not match params (layer count)")
-    for i, w in enumerate(params.weights):
-        if cache.pre_acts[i].shape[1] != w.shape[0]:
-            raise ValueError("cache does not match params (layer widths)")
+    if [z.shape[1] for z in cache.pre_acts] != [w.shape[0] for w in params.weights]:
+        raise ValueError("cache does not match params (layer widths)")
     b_rows = cache.inputs.shape[0]
     dL_df0hat = np.asarray(dL_df0hat, dtype=np.float64)
     dL_dg = np.asarray(dL_dg, dtype=np.float64)
@@ -265,16 +240,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def infer_f0(params: ModelParams, normed: np.ndarray,
-             cache: ForwardCache | None = None) -> tuple[np.ndarray, np.ndarray]:
+def infer_f0(params: ModelParams, normed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inference on normalized rows: (f0_hz, voicing logits).
 
     A frame is voiced iff its logit is >= 0 (the mask reads the logit
     sign, so the boundary logit 0 is voiced); voiced frames get exp of the
     denormalized log-F0 prediction, unvoiced frames are exactly 0 Hz.
-    ``cache`` is passed to ``forward``; the logits are a view into it.
     """
-    f0hat_norm, g, _ = forward(params, normed, cache=cache)
+    f0hat_norm, g, _ = forward(params, normed)
     hz = np.exp(params.norm.denormalize_logf0(f0hat_norm))
     return np.where(g >= 0.0, hz, 0.0), g
 

@@ -36,7 +36,6 @@ import numpy as np
 from .featureio import Dataset, FrameTable, compute_norm_stats
 from .metrics import pitch_error_counts
 from .model import (
-    ForwardCache,
     Gradients,
     ModelConfig,
     ModelParams,
@@ -240,15 +239,11 @@ class ValidationSet:
     """Validation frames prepared once for a run's fixed normalization.
 
     ``rows`` holds each utterance's normalized feature rows, ``truth_f0``
-    all frames' truth F0 in Hz, in utterance order; ``pred_f0`` and
-    ``workspace`` (sized for the longest utterance) are rewritten on every
-    call of ``validation_metric``.
+    all frames' truth F0 in Hz, in utterance order.
     """
 
     rows: list[np.ndarray]
     truth_f0: np.ndarray
-    pred_f0: np.ndarray
-    workspace: ForwardCache
 
 
 def prepare_validation(params: ModelParams, val_dataset: Dataset) -> ValidationSet:
@@ -257,8 +252,7 @@ def prepare_validation(params: ModelParams, val_dataset: Dataset) -> ValidationS
         raise ValueError("validation dataset has no frames")
     rows = [params.norm.normalize_inputs(u.features()) for u in val_dataset.utterances]
     truth = np.concatenate([u.f0.astype(np.float64) for u in val_dataset.utterances])
-    workspace = ForwardCache.empty(params, max(len(r) for r in rows))
-    return ValidationSet(rows, truth, np.empty_like(truth), workspace)
+    return ValidationSet(rows, truth)
 
 
 def validation_metric(params: ModelParams, val: ValidationSet) -> float:
@@ -268,13 +262,8 @@ def validation_metric(params: ModelParams, val: ValidationSet) -> float:
     runs it; the pitch counts are integer sums, so counting the
     concatenated frames once equals pooling per-utterance counts.
     """
-    start = 0
-    for rows in val.rows:
-        stop = start + len(rows)
-        val.pred_f0[start:stop], _ = infer_f0(params, rows,
-                                              cache=val.workspace.head(len(rows)))
-        start = stop
-    return pitch_error_counts(val.pred_f0, val.truth_f0).accurately_processed
+    pred = np.concatenate([infer_f0(params, rows)[0] for rows in val.rows])
+    return pitch_error_counts(pred, val.truth_f0).accurately_processed
 
 
 def train(
@@ -291,12 +280,10 @@ def train(
     plateau scheduler drives lr reductions and early stopping.  The
     returned parameters are the copy that achieved the best validation
     metric, not the last epoch's.  Validation rows are normalized once per
-    run, and every batch runs in one reused workspace.
+    run.
     """
     if train_table.n_rows == 0:
         raise ValueError("empty training table")
-    if len(val_dataset) == 0:
-        raise ValueError("empty validation dataset")
     if model_config.input_dim != train_table.rows.shape[1]:
         raise ValueError(
             f"model input_dim {model_config.input_dim} != "
@@ -320,7 +307,6 @@ def train(
     history = TrainHistory()
     best_params = params.copy()
     n = train_table.n_rows
-    workspace = ForwardCache.empty(params, min(n, train_config.batch_size))
 
     for epoch in range(train_config.max_epochs):
         epoch_lr = sched.current_lr
@@ -332,11 +318,12 @@ def train(
                 params, inputs[idx], train_mode=True,
                 dropout=model_config.dropout,
                 dropout_seed=[train_config.seed, epoch, batch_idx],
-                cache=workspace.head(len(idx)),
             )
             loss, d_f0hat, d_g = composite_loss(
                 f0hat, g, targets[idx], voiced[idx], train_config.alpha)
             grads = backward(params, cache, d_f0hat, d_g)
+            # Frees this pass's buffer before the next forward allocates one.
+            del f0hat, g, cache
             params, opt = nadam_step(opt, params, grads, epoch_lr)
             loss_sum += loss * len(idx)
         train_loss = loss_sum / n

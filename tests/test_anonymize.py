@@ -16,7 +16,7 @@ from f0synth.anonymize import (
     speaker_f0_stats,
     write_pool,
 )
-from f0synth.featureio import Dataset, FormatError, Gender, Utterance
+from f0synth.featureio import Dataset, FormatError, Gender, Utterance, write_feature_file
 
 
 def entry(speaker_id, gender, xvec, mean=150.0, std=20.0):
@@ -363,9 +363,11 @@ class TestPoolFile:
         (("\nb,", "\nb/x,"), "speaker_id 'b/x'"),
         ((",200,20\n", ",0,20\n"), "must be positive"),
         ((",200,20\n", ",200,-20\n"), "must be positive"),
-    ], ids=["speaker_id", "zero_mean", "negative_std"])
+        (("pool_xvecs/b.xvec", "zero.xvec"), "pool entry 'b': zero-norm xvec"),
+    ], ids=["speaker_id", "zero_mean", "negative_std", "zero_xvec"])
     def test_row_error_names_pool_line(self, tmp_path, edit, words):
         path = write_pool(toy_pool(), tmp_path)
+        write_feature_file(tmp_path / "zero.xvec", np.zeros(2, dtype=np.float32))
         text = path.read_text()
         assert edit[0] in text
         path.write_text(text.replace(edit[0], edit[1]))

@@ -22,7 +22,7 @@ from f0synth.cli import (
     parse_config_text,
     section_config,
 )
-from f0synth.featureio import NormStats, load_manifest, read_feature_file
+from f0synth.featureio import NormStats, load_manifest, read_feature_file, write_feature_file
 from f0synth.model import ModelConfig, ModelParams, load_checkpoint, predict_f0, save_checkpoint
 from f0synth.synthgen import SynthSpec
 from f0synth.training import TrainConfig
@@ -64,6 +64,23 @@ def trained_dir(tmp_path_factory, world_dir):
            "train.lr": 0.003,
            "train.max_epochs": 6}))
     return out
+
+
+def absolute_rows(manifest: Path) -> list[str]:
+    """A manifest's lines with its feature paths made absolute, header first."""
+    lines = manifest.read_text().splitlines()
+    rows = [lines[0]]
+    for line in lines[1:]:
+        fields = line.split(",")
+        fields[3:] = [str(manifest.parent / p) for p in fields[3:]]
+        rows.append(",".join(fields))
+    return rows
+
+
+def write_manifest(path: Path, rows: list[str]) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(rows) + "\n")
+    return path
 
 
 def tree_hash(root: Path) -> str:
@@ -321,6 +338,25 @@ class TestEvalCommand:
                    "eval.pred_manifest": manifest,
                    "eval.checkpoint": trained_dir / "checkpoint.f0md"}))
 
+    @pytest.mark.parametrize("kept, extra_rows", [(2, 0), (None, 2)],
+                             ids=["missing", "extra"])
+    def test_pred_ids_must_match_truth(self, tmp_path, world_dir, kept, extra_rows):
+        truth = world_dir / "test" / "manifest.csv"
+        rows = absolute_rows(truth)[:None if kept is None else kept + 1]
+        rows += absolute_rows(world_dir / "validation" / "manifest.csv")[1:1 + extra_rows]
+        pred = write_manifest(tmp_path / "pred" / "manifest.csv", rows)
+        truth_ids = sorted(line.split(",")[0] for line in absolute_rows(truth)[1:])
+        pred_ids = sorted(line.split(",")[0] for line in rows[1:])
+        missing = sorted(set(truth_ids) - set(pred_ids))[:5]
+        extra = sorted(set(pred_ids) - set(truth_ids))[:5]
+        assert (len(missing), len(extra)) == ((5, 0) if kept else (0, 2))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{pred}: utt_ids differ from the truth manifest "
+                f"(missing {missing}, extra {extra})")):
+            cmd_eval(config_for(out, **{"eval.manifest": truth, "eval.pred_manifest": pred}))
+        assert not out.exists()
+
     def test_empty_manifest_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("utt_id,speaker_id,gender,f0_path,bn_path,xvec_path\n")
@@ -525,17 +561,9 @@ class TestAnonymizeCommand:
                 anon_config(tmp_path, world_dir, trained_dir, **{key: value})
 
     def test_escaping_utt_id_rejected(self, tmp_path, world_dir):
-        test_dir = world_dir / "test"
-        lines = (test_dir / "manifest.csv").read_text().splitlines()
-        rows = [lines[0]]
-        for line in lines[1:]:
-            fields = line.split(",")
-            fields[3:] = [str(test_dir / p) for p in fields[3:]]
-            rows.append(",".join(fields))
+        rows = absolute_rows(world_dir / "test" / "manifest.csv")
         rows[1] = "../../escaped" + rows[1][rows[1].index(","):]
-        manifest = tmp_path / "in" / "manifest.csv"
-        manifest.parent.mkdir()
-        manifest.write_text("\n".join(rows) + "\n")
+        manifest = write_manifest(tmp_path / "in" / "manifest.csv", rows)
         out = tmp_path / "a" / "b" / "out"
         with pytest.raises(ValueError, match="utt_id"):
             cmd_anonymize(config_for(out, **{"anonymize.manifest": manifest,
@@ -543,6 +571,22 @@ class TestAnonymizeCommand:
                                              "anonymize.method": "shift_scale",
                                              "anonymize.n": 2, "anonymize.k": 2}))
         assert not list(tmp_path.rglob("escaped*"))
+
+
+    def test_zero_source_xvec_fails_before_writing(self, tmp_path, world_dir):
+        rows = absolute_rows(world_dir / "test" / "manifest.csv")
+        zero = tmp_path / "zero.xvec"
+        write_feature_file(zero, np.zeros(3, dtype=np.float32))
+        fields = rows[4].split(",")
+        rows[4] = ",".join([*fields[:5], str(zero)])
+        manifest = write_manifest(tmp_path / "in" / "manifest.csv", rows)
+        out = tmp_path / "anon"
+        with pytest.raises(ValueError, match=f"utterance '{fields[0]}': zero-norm xvec"):
+            cmd_anonymize(anon_config(out, world_dir, None,
+                                      **{"anonymize.manifest": manifest,
+                                         "anonymize.method": "shift_scale",
+                                         "anonymize.k": 1}))
+        assert not out.exists()
 
 
 def zero_params(input_dim):

@@ -290,42 +290,41 @@ class TestBackward:
 
 
 class TestWorkspaceOracle:
-    """Cached forward and backward against the allocating reference, bit for bit."""
+    """One-buffer forward and backward against the allocating reference, bit for bit."""
 
     @staticmethod
-    def check_step(params, batch, u, v, cache=None, **drop):
+    def check_step(params, batch, u, v, **drop):
         ref_f0, ref_g, ref_cache = reference_forward(params, batch, **drop)
         ref_grads = reference_backward(params, ref_cache, u, v)
-        f0hat, g, out_cache = forward(params, batch, cache=cache, **drop)
-        if cache is not None:
-            assert out_cache is cache
+        f0hat, g, cache = forward(params, batch, **drop)
         assert_bits_equal(f0hat, ref_f0)
         assert_bits_equal(g, ref_g)
-        for mask, ref_mask in zip(out_cache.dropout_masks, ref_cache.dropout_masks):
+        for got, ref in zip((*cache.pre_acts, *cache.post_acts),
+                            (*ref_cache.pre_acts, *ref_cache.post_acts)):
+            assert_bits_equal(got, ref)
+        for mask, ref_mask in zip(cache.dropout_masks, ref_cache.dropout_masks):
             assert (mask is None) == (ref_mask is None)
             if mask is not None:
                 assert_bits_equal(mask, ref_mask)
-        grads = backward(params, out_cache, u, v)
+        grads = backward(params, cache, u, v)
         for got, ref in zip((*grads.weights, *grads.biases),
                             (*ref_grads.weights, *ref_grads.biases)):
             assert_bits_equal(got, ref)
         return grads
 
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
-    def test_reused_workspace_across_row_counts(self, dropout):
+    def test_consecutive_calls_across_row_counts(self, dropout):
         params, _ = toy_params(seed=4, input_dim=6, hidden=(9, 7, 5))
         rng = np.random.default_rng(12)
-        workspace = ForwardCache.empty(params, 16)
-        # full, partial, full again, all in one workspace, and every step
-        # sees new params, as in the training loop
+        # full, partial, full again, and every step sees new params, as in
+        # the training loop
         for step, rows in enumerate((16, 5, 16, 5)):
             params = ModelParams([w + rng.normal(scale=0.1, size=w.shape) for w in params.weights],
                                  [b + rng.normal(scale=0.1, size=b.shape) for b in params.biases],
                                  params.norm)
             self.check_step(params, rng.normal(size=(rows, 6)), rng.normal(size=rows),
-                            rng.normal(size=rows), cache=workspace.head(rows),
+                            rng.normal(size=rows),
                             train_mode=True, dropout=dropout, dropout_seed=[3, step])
-        assert np.shares_memory(workspace.head(5).pre_acts[0], workspace.pre_acts[0])
 
     def test_without_cache_matches_reference(self):
         params, _ = toy_params(seed=6, input_dim=5, hidden=(8, 4))
@@ -351,15 +350,14 @@ class TestWorkspaceOracle:
         _, _, ref_cache = reference_forward(params, batch)
         masked = (np.column_stack([u, v]) @ weights[2]) * (ref_cache.pre_acts[1] > 0.0)
         assert (masked[:, 0] == 0.0).all() and np.signbit(masked[:, 0]).all()
-        self.check_step(params, batch, u, v, cache=ForwardCache.empty(params, rows))
+        self.check_step(params, batch, u, v)
 
     def test_backward_twice_leaves_cache_unchanged(self):
         params, _ = toy_params(seed=8, input_dim=5, hidden=(6, 4))
         rng = np.random.default_rng(7)
         rows = 9
         _, _, cache = forward(params, rng.normal(size=(rows, 5)), train_mode=True,
-                              dropout=0.25, dropout_seed=4,
-                              cache=ForwardCache.empty(params, rows))
+                              dropout=0.25, dropout_seed=4)
         snapshot = [a.copy() for a in (cache.inputs, *cache.pre_acts, *cache.post_acts,
                                        *cache.dropout_masks[:-1])]
         u, v = rng.normal(size=rows), rng.normal(size=rows)
@@ -371,14 +369,18 @@ class TestWorkspaceOracle:
         for a, b in zip(snapshot, after):
             assert_bits_equal(a, b)
 
-    def test_mismatched_cache_rejected(self):
-        params, _ = toy_params()
-        cache = ForwardCache.empty(params, 4)
-        with pytest.raises(ValueError, match="cache"):
-            forward(params, np.zeros((3, 5)), cache=cache)
-        other, _ = toy_params(hidden=(7, 3))
-        with pytest.raises(ValueError, match="cache"):
-            forward(other, np.zeros((4, 5)), cache=cache)
+    def test_outputs_unchanged_by_a_later_call(self):
+        params, _ = toy_params(seed=3, input_dim=5, hidden=(6, 4))
+        rng = np.random.default_rng(11)
+        first = forward(params, rng.normal(size=(7, 5)), train_mode=True,
+                        dropout=0.25, dropout_seed=1)
+        f0hat, g, cache = first
+        snapshot = [a.copy() for a in (f0hat, g, *cache.pre_acts, *cache.post_acts)]
+        for rows in (7, 3):
+            forward(params, rng.normal(size=(rows, 5)), train_mode=True,
+                    dropout=0.25, dropout_seed=2)
+        for a, b in zip(snapshot, (f0hat, g, *cache.pre_acts, *cache.post_acts)):
+            assert_bits_equal(a, b)
 
 
 class TestSigmoid:

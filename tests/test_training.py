@@ -3,7 +3,7 @@ import pytest
 
 from f0synth.featureio import Dataset, Gender, Utterance, build_frame_table
 from f0synth.metrics import FrameCounts, pitch_error_counts
-from f0synth.model import ModelConfig, backward, forward, init_params, predict_f0
+from f0synth.model import ModelConfig, backward, forward, infer_f0, init_params, predict_f0
 from f0synth.synthgen import SynthSpec, generate_synthetic_dataset
 from f0synth.training import (
     Gradients,
@@ -374,9 +374,7 @@ class TestTrainLoop:
         assert len(history) == 1
 
     def test_dropout_training_runs_and_stays_deterministic(self):
-        # 1200 frames in batches of 256 end on a partial batch, so one
-        # workspace serves two batch sizes; the second run must not see
-        # anything the first left in its own
+        # 1200 frames in batches of 256 end on a partial batch
         p1, h1 = self.run(max_epochs=2, dropout=0.2)
         p2, h2 = self.run(max_epochs=2, dropout=0.2)
         assert h1.to_csv_text() == h2.to_csv_text()
@@ -429,10 +427,10 @@ class TestValidationMetric:
             preds.append(pred)
             pooled = pooled + pitch_error_counts(pred, utt.f0)
         val = prepare_validation(params, val_ds)
-        for _ in range(2):  # the second call runs on the reused buffers
-            assert validation_metric(params, val) == pooled.accurately_processed
-            assert np.array_equal(val.pred_f0.view(np.uint64),
-                                  np.concatenate(preds).view(np.uint64))
+        assert validation_metric(params, val) == pooled.accurately_processed
+        for rows, pred in zip(val.rows, preds):
+            assert np.array_equal(infer_f0(params, rows)[0].view(np.uint64),
+                                  pred.view(np.uint64))
 
     def test_no_frames_rejected(self):
         params = init_params(ModelConfig(input_dim=6, hidden_sizes=[4]), 0)
