@@ -71,4 +71,4 @@ print(f"gpe {report.gpe:.3f}  fpe {report.fpe:.3f}  "
 
 print("\n=== 5. The CSV row the eval command writes ===")
 print(",".join(REPORT_COLUMNS))
-print(report_csv_row("demo", "all", report))
+print(",".join(report_csv_row("demo", "all", report)))

@@ -45,10 +45,8 @@ from .featureio import (
     compute_norm_stats,
     load_manifest,
     read_feature_file,
-    read_utterance,
     write_dataset,
     write_feature_file,
-    write_utterance,
 )
 from .metrics import (
     FrameCounts,
@@ -120,7 +118,6 @@ __all__ = [
     "pool_from_dataset",
     "predict_f0",
     "read_feature_file",
-    "read_utterance",
     "save_checkpoint",
     "scheduler_update",
     "select_pseudo_speaker",
@@ -130,5 +127,4 @@ __all__ = [
     "write_dataset",
     "write_feature_file",
     "write_pool",
-    "write_utterance",
 ]

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .featureio import (Dataset, FormatError, Gender, at_row, check_id, read_csv,
-                        read_feature_file, write_feature_file)
+                        read_feature_file, write_csv, write_feature_file)
 
 POOL_COLUMNS = ("speaker_id", "gender", "xvec_path", "f0_mean", "f0_std")
 DEFAULT_N_FURTHEST = 200
@@ -260,15 +260,12 @@ def write_pool(pool: SpeakerPool, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     xvec_dir = out_dir / "pool_xvecs"
     xvec_dir.mkdir(parents=True, exist_ok=True)
-    rows = [",".join(POOL_COLUMNS)]
+    rows = []
     for e in pool.entries:
         rel = f"pool_xvecs/{e.speaker_id}.xvec"
         write_feature_file(out_dir / rel, e.xvec.astype(np.float32))
-        rows.append(f"{e.speaker_id},{e.gender.value},{rel},"
-                    f"{e.f0_mean:.17g},{e.f0_std:.17g}")
-    path = out_dir / "pool.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return path
+        rows.append([e.speaker_id, e.gender.value, rel, f"{e.f0_mean:.17g}", f"{e.f0_std:.17g}"])
+    return write_csv(out_dir / "pool.csv", POOL_COLUMNS, rows)
 
 
 def load_pool(path: str | Path) -> SpeakerPool:
@@ -281,8 +278,6 @@ def load_pool(path: str | Path) -> SpeakerPool:
         speaker_id, gender_tok, xvec_path, mean_tok, std_tok = fields
         with at_row(where):
             xvec = read_feature_file(xvec_path)
-            if xvec.ndim != 1:
-                raise FormatError(f"{xvec_path}: expected rank-1 embedding")
             try:
                 mean, std = float(mean_tok), float(std_tok)
             except ValueError:

@@ -43,6 +43,7 @@ from .featureio import (
     assemble_features,
     build_frame_table,
     load_manifest,
+    write_csv,
     write_dataset,
     write_feature_file,
 )
@@ -55,7 +56,7 @@ from .metrics import (
 )
 from .model import ModelConfig, load_checkpoint, predict_f0, save_checkpoint
 from .synthgen import SynthSpec, generate_synthetic_dataset
-from .training import TrainConfig, train
+from .training import HISTORY_COLUMNS, TrainConfig, train
 
 RHO_FLAG_THRESHOLD = 0.3
 
@@ -244,16 +245,13 @@ def cmd_train(config: RunConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     train_ds = load_manifest(train_manifest)
     val_ds = load_manifest(val_manifest)
-    if not len(train_ds) or not len(val_ds):
-        raise ValueError("empty dataset")
     table = build_frame_table(train_ds)
     model_config = section_config(config, "model", input_dim=table.rows.shape[1])
     train_config = section_config(config, "train", seed=config.seed)
     params, history = train(table, val_ds, model_config, train_config)
     checkpoint = out_dir / "checkpoint.f0md"
     save_checkpoint(checkpoint, params, dropout=model_config.dropout)
-    history_path = out_dir / "history.csv"
-    history_path.write_text(history.to_csv_text(), encoding="utf-8")
+    history_path = write_csv(out_dir / "history.csv", HISTORY_COLUMNS, history.csv_rows())
     best = history.best_val_metric
     click.echo(f"checkpoint: {checkpoint}")
     click.echo(f"history: {history_path} ({len(history)} epochs)")
@@ -271,8 +269,6 @@ def cmd_eval(config: RunConfig) -> dict:
     (compare stored trajectories utterance by utterance).
     """
     truth_ds = load_manifest(config.require("eval.manifest"))
-    if not len(truth_ds):
-        raise ValueError("empty dataset")
     checkpoint = config.get("eval.checkpoint")
     pred_manifest = config.get("eval.pred_manifest")
     if (checkpoint is None) == (pred_manifest is None):
@@ -300,7 +296,7 @@ def cmd_eval(config: RunConfig) -> dict:
     groups.append(("all", set(truth)))
 
     reports: dict[str, MetricsReport] = {}
-    rows = [",".join(REPORT_COLUMNS)]
+    rows = []
     for sex, ids in groups:
         report = evaluate_utterances({k: pred[k] for k in ids},
                                      {k: truth[k] for k in ids})
@@ -308,10 +304,8 @@ def cmd_eval(config: RunConfig) -> dict:
         rows.append(report_csv_row(dataset_name, sex, report))
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = out_dir / "metrics.csv"
-    metrics_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    for line in rows:
-        click.echo(line)
+    metrics_path = write_csv(out_dir / "metrics.csv", REPORT_COLUMNS, rows)
+    click.echo(metrics_path.read_text(encoding="utf-8"), nl=False)
     click.echo(f"metrics: {metrics_path}")
     return {"metrics": metrics_path, "reports": reports}
 
@@ -326,8 +320,6 @@ def cmd_anonymize(config: RunConfig) -> dict:
     pitch correlation is checked against the 0.3 floor.
     """
     sources = load_manifest(config.require("anonymize.manifest"))
-    if not len(sources):
-        raise ValueError("empty dataset")
     pool_path = config.require("anonymize.pool")
     pool = anon.load_pool(pool_path)
     method = config.get("anonymize.method", "synthesis")
@@ -368,7 +360,7 @@ def cmd_anonymize(config: RunConfig) -> dict:
     f0_dir.mkdir(parents=True, exist_ok=True)
     xvec_dir.mkdir(parents=True, exist_ok=True)
 
-    log_rows = [",".join(ANON_LOG_COLUMNS)]
+    log_rows = []
     rhos: dict[str, float | None] = {}
     flagged: list[str] = []
     synth_seconds = 0.0
@@ -398,12 +390,10 @@ def cmd_anonymize(config: RunConfig) -> dict:
             shown = "absent" if rho is None else f"{rho:.3f}"
             click.echo(f"FLAGGED {utt.utt_id}: rho_f0 {shown} "
                        f"(threshold {RHO_FLAG_THRESHOLD})")
-        log_rows.append(",".join([
-            utt.utt_id, mode.value, ";".join(pseudo.chosen_ids),
-            f"{pseudo.f0_mean:.10g}", f"{pseudo.f0_std:.10g}"]))
+        log_rows.append([utt.utt_id, mode.value, ";".join(pseudo.chosen_ids),
+                         f"{pseudo.f0_mean:.10g}", f"{pseudo.f0_std:.10g}"])
 
-    log_path = out_dir / "anon_log.csv"
-    log_path.write_text("\n".join(log_rows) + "\n", encoding="utf-8")
+    log_path = write_csv(out_dir / "anon_log.csv", ANON_LOG_COLUMNS, log_rows)
     frames_per_second = synth_frames / synth_seconds if synth_seconds > 0 else None
     click.echo(f"anonymized {len(sources)} utterances "
                f"({method}, mode {mode.value}) -> {f0_dir}")

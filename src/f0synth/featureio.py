@@ -19,6 +19,9 @@ Feature file format (bit-exact, little-endian):
 Manifest format: CSV with header
 ``utt_id,speaker_id,gender,f0_path,bn_path,xvec_path``; relative paths
 are resolved against the manifest's directory.  Ids must pass ``check_id``.
+Every CSV the package writes goes through ``write_csv`` and reads back
+through ``read_csv``; neither quotes, so no field holds ``,`` or a line break.
+The reader strips fields, so none starts or ends with a space either.
 """
 
 from __future__ import annotations
@@ -164,6 +167,11 @@ class Dataset:
 # binary feature files
 # ---------------------------------------------------------------------------
 
+def pack_header(magic: bytes, version: int, *fields: int) -> bytes:
+    """Magic, u32 version and u32 fields: the header ``unpack_header`` checks."""
+    return magic + struct.pack(f"<{len(fields) + 1}I", version, *fields)
+
+
 def unpack_header(path: Path, data: bytes, magic: bytes, version: int,
                   n_fields: int, kind: str) -> list[int]:
     """Check a binary file's magic and u32 version; return the u32 fields after them."""
@@ -187,8 +195,7 @@ def write_feature_file(path: str | Path, values: np.ndarray) -> None:
         raise ValueError(f"feature rank must be 1 or 2, got {arr.ndim}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: non-finite value, not written")
-    header = FEATURE_MAGIC + struct.pack("<II", FEATURE_VERSION, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
+    header = pack_header(FEATURE_MAGIC, FEATURE_VERSION, arr.ndim, *arr.shape)
     Path(path).write_bytes(header + arr.tobytes(order="C"))
 
 
@@ -218,43 +225,8 @@ def read_feature_file(path: str | Path) -> np.ndarray:
     return arr.copy()
 
 
-def read_utterance(
-    f0_path: str | Path,
-    bn_path: str | Path,
-    xvec_path: str | Path,
-    *,
-    utt_id: str,
-    speaker_id: str,
-    gender: Gender,
-) -> Utterance:
-    """Load one utterance's three feature files and validate all invariants."""
-    f0 = read_feature_file(f0_path)
-    if f0.ndim != 1:
-        raise FormatError(f"{f0_path}: expected rank-1 F0 trajectory")
-    bn = read_feature_file(bn_path)
-    if bn.ndim != 2:
-        raise FormatError(f"{bn_path}: expected rank-2 feature matrix")
-    xvec = read_feature_file(xvec_path)
-    if xvec.ndim != 1:
-        raise FormatError(f"{xvec_path}: expected rank-1 embedding")
-    return Utterance(utt_id=utt_id, speaker_id=speaker_id, gender=gender,
-                     f0=f0, bn=bn, xvec=xvec)
-
-
-def write_utterance(
-    utt: Utterance,
-    f0_path: str | Path,
-    bn_path: str | Path,
-    xvec_path: str | Path,
-) -> None:
-    """Write an utterance's features to three binary files (read_utterance inverse)."""
-    write_feature_file(f0_path, utt.f0)
-    write_feature_file(bn_path, utt.bn)
-    write_feature_file(xvec_path, utt.xvec)
-
-
 # ---------------------------------------------------------------------------
-# manifests
+# CSV files and manifests
 # ---------------------------------------------------------------------------
 
 def read_csv(path: Path, columns: tuple[str, ...],
@@ -281,6 +253,26 @@ def read_csv(path: Path, columns: tuple[str, ...],
         yield f"{path}:{lineno}", fields
 
 
+def write_csv(path: str | Path, columns: tuple[str, ...], rows) -> Path:
+    """Write the header and one comma-joined line per row; ``read_csv`` inverse.
+
+    A row of the wrong width, or a field holding ``,`` or a line break or
+    one ``read_csv`` would strip, raises before the file is opened.
+    Returns ``path``.
+    """
+    path = Path(path)
+    lines = [",".join(columns)]
+    for row in rows:
+        line = ",".join(row)
+        if (len(row) != len(columns) or line.count(",") != len(columns) - 1
+                or "\n" in line or "\r" in line or any(f != f.strip() for f in row)):
+            raise ValueError(f"{path}: row {row} is not {len(columns)} fields free of "
+                             f"',', line breaks and outer spaces, not written")
+        lines.append(line)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 @contextmanager
 def at_row(where: str):
     """Re-raise a ValueError from one CSV row as a FormatError that names the row."""
@@ -295,7 +287,8 @@ def load_manifest(path: str | Path) -> Dataset:
 
     Relative feature paths resolve against the manifest's directory.  Every
     utterance must have the bn and xvec dimensions of the first, and a
-    unique utt_id.  An error in a row names it as ``path:lineno``.
+    unique utt_id, and there must be at least one.  An error in a row
+    names it as ``path:lineno``.
     """
     utterances: list[Utterance] = []
     rows = read_csv(Path(path), MANIFEST_COLUMNS, ("f0_path", "bn_path", "xvec_path"))
@@ -309,7 +302,8 @@ def load_manifest(path: str | Path) -> Dataset:
             for p in paths:
                 if not p.is_file():
                     raise FileNotFoundError(f"{where}: missing feature file {p}")
-            utt = read_utterance(*paths, utt_id=utt_id, speaker_id=speaker_id, gender=gender)
+            f0, bn, xvec = (read_feature_file(p) for p in paths)
+            utt = Utterance(utt_id, speaker_id, gender, f0, bn, xvec)
             first = utterances[0] if utterances else utt
             for name, got, want in (("bn", utt.bn.shape[1], first.bn.shape[1]),
                                     ("xvec", len(utt.xvec), len(first.xvec))):
@@ -317,6 +311,8 @@ def load_manifest(path: str | Path) -> Dataset:
                     raise ValueError(f"utterance {utt_id!r}: {name} dimension "
                                      f"{got} != {want} of the first row")
         utterances.append(utt)
+    if not utterances:
+        raise FormatError(f"{path}: empty dataset, the manifest has no rows")
     return Dataset(utterances)
 
 
@@ -329,15 +325,13 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     feat_dir = out_dir / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
-    rows = [",".join(MANIFEST_COLUMNS)]
+    rows = []
     for utt in dataset.utterances:
-        rel = {kind: f"features/{utt.utt_id}.{kind}" for kind in ("f0", "bn", "xvec")}
-        write_utterance(utt, out_dir / rel["f0"], out_dir / rel["bn"], out_dir / rel["xvec"])
-        rows.append(",".join([utt.utt_id, utt.speaker_id, utt.gender.value,
-                              rel["f0"], rel["bn"], rel["xvec"]]))
-    manifest_path = out_dir / "manifest.csv"
-    manifest_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return manifest_path
+        rel = [f"features/{utt.utt_id}.{kind}" for kind in ("f0", "bn", "xvec")]
+        for name, values in zip(rel, (utt.f0, utt.bn, utt.xvec)):
+            write_feature_file(out_dir / name, values)
+        rows.append([utt.utt_id, utt.speaker_id, utt.gender.value, *rel])
+    return write_csv(out_dir / "manifest.csv", MANIFEST_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------

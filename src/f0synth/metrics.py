@@ -216,16 +216,9 @@ def format_correlation(value: float | None) -> str:
     return "" if value is None else f"{value:.3f}"
 
 
-def report_csv_row(dataset: str, sex: str, report: MetricsReport) -> str:
-    """One report CSV data row (see REPORT_COLUMNS for the header)."""
-    return ",".join([
-        dataset,
-        sex,
-        format_percent(report.gpe),
-        format_percent(report.fpe),
-        format_percent(report.accuracy),
-        format_percent(report.precision),
-        format_percent(report.recall),
-        format_percent(report.accurately_processed),
-        format_correlation(report.pitch_correlation),
-    ])
+def report_csv_row(dataset: str, sex: str, report: MetricsReport) -> list[str]:
+    """One report CSV data row's fields, in REPORT_COLUMNS order."""
+    rates = (report.gpe, report.fpe, report.accuracy, report.precision,
+             report.recall, report.accurately_processed)
+    return [dataset, sex, *map(format_percent, rates),
+            format_correlation(report.pitch_correlation)]

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .featureio import FormatError, NormStats, require_bytes, unpack_header
+from .featureio import FormatError, NormStats, pack_header, require_bytes, unpack_header
 
 CHECKPOINT_MAGIC = b"F0MD"
 CHECKPOINT_VERSION = 1
@@ -270,10 +270,8 @@ def save_checkpoint(path: str | Path, params: ModelParams, dropout: float = 0.0)
     dims = [w.shape[0] for w in params.weights]
     if dims[-1] != OUTPUT_UNITS:
         raise ValueError("checkpoint requires the 2-unit output layer")
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<III", CHECKPOINT_VERSION, params.n_layers, params.input_dim)
-    blob += struct.pack(f"<{params.n_layers}I", *dims)
+    blob = bytearray(pack_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                 params.n_layers, params.input_dim, *dims))
     blob += struct.pack("<d", dropout)
     norm = params.norm
     blob += np.ascontiguousarray(norm.input_mean, dtype="<f8").tobytes()

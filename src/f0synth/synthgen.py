@@ -180,13 +180,10 @@ def generate_synthetic_dataset(
             walks = _speaker_walks(rngs, spec.frames_per_utt, spec.d_bn)
             for utt_idx, (rng, bn) in enumerate(zip(rngs, walks)):
                 bn32 = bn.astype(np.float32)
+                logf0 = mapping.logf0(gender, bn32)
                 if noise_log_std > 0:
-                    voiced = mapping.voiced_mask(bn32)
-                    logf0 = mapping.logf0(gender, bn32)
                     logf0 += rng.normal(0.0, noise_log_std, size=len(logf0))
-                    f0 = np.where(voiced, np.exp(logf0), 0.0).astype(np.float32)
-                else:
-                    f0 = mapping.f0(gender, bn32)
+                f0 = np.where(mapping.voiced_mask(bn32), np.exp(logf0), 0.0).astype(np.float32)
                 utterances.append(Utterance(
                     utt_id=f"{speaker_id}_{role[0]}{utt_idx:03d}",
                     speaker_id=speaker_id,

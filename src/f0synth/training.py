@@ -226,12 +226,10 @@ class TrainHistory:
     def best_val_metric(self) -> float | None:
         return max((r.val_metric for r in self.records), default=None)
 
-    def to_csv_text(self) -> str:
-        lines = [",".join(HISTORY_COLUMNS)]
-        for r in self.records:
-            lines.append(f"{r.epoch},{r.train_loss:.10g},{r.val_metric:.10g},"
-                         f"{r.lr:.10g},{r.event}")
-        return "\n".join(lines) + "\n"
+    def csv_rows(self) -> list[list[str]]:
+        """One row of fields per epoch, in HISTORY_COLUMNS order."""
+        return [[str(r.epoch), f"{r.train_loss:.10g}", f"{r.val_metric:.10g}",
+                 f"{r.lr:.10g}", r.event] for r in self.records]
 
 
 @dataclass

@@ -27,9 +27,8 @@ from f0synth.featureio import (
     Utterance,
     assemble_features,
     build_frame_table,
-    read_utterance,
+    load_manifest,
     write_dataset,
-    write_utterance,
 )
 from f0synth.metrics import (
     evaluate_utterances,
@@ -455,15 +454,12 @@ def test_criterion_08_format_round_trip(tmp_path):
                         f0=f0,
                         bn=rng.standard_normal((frames, d_bn)).astype(np.float32),
                         xvec=rng.standard_normal(d_xv).astype(np.float32))
-        first = {k: tmp_path / f"{case}_a.{k}" for k in ("f0", "bn", "xvec")}
-        second = {k: tmp_path / f"{case}_b.{k}" for k in ("f0", "bn", "xvec")}
-        write_utterance(utt, first["f0"], first["bn"], first["xvec"])
-        loaded = read_utterance(first["f0"], first["bn"], first["xvec"],
-                                utt_id=utt.utt_id, speaker_id=utt.speaker_id,
-                                gender=utt.gender)
-        write_utterance(loaded, second["f0"], second["bn"], second["xvec"])
+        first, second = tmp_path / f"{case}_a", tmp_path / f"{case}_b"
+        (loaded,) = load_manifest(write_dataset(Dataset([utt]), first)).utterances
+        write_dataset(Dataset([loaded]), second)
         for kind in ("f0", "bn", "xvec"):
-            if first[kind].read_bytes() != second[kind].read_bytes():
+            name = f"features/{utt.utt_id}.{kind}"
+            if (first / name).read_bytes() != (second / name).read_bytes():
                 verdict("format-round-trip", False,
                         f"utterance {case}: {kind} file changed across "
                         f"write-read-write")

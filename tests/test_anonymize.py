@@ -364,10 +364,12 @@ class TestPoolFile:
         ((",200,20\n", ",0,20\n"), "must be positive"),
         ((",200,20\n", ",200,-20\n"), "must be positive"),
         (("pool_xvecs/b.xvec", "zero.xvec"), "pool entry 'b': zero-norm xvec"),
-    ], ids=["speaker_id", "zero_mean", "negative_std", "zero_xvec"])
+        (("pool_xvecs/b.xvec", "rank2.xvec"), "pool entry 'b': xvec must be 1-D"),
+    ], ids=["speaker_id", "zero_mean", "negative_std", "zero_xvec", "rank"])
     def test_row_error_names_pool_line(self, tmp_path, edit, words):
         path = write_pool(toy_pool(), tmp_path)
         write_feature_file(tmp_path / "zero.xvec", np.zeros(2, dtype=np.float32))
+        write_feature_file(tmp_path / "rank2.xvec", np.ones((2, 2), dtype=np.float32))
         text = path.read_text()
         assert edit[0] in text
         path.write_text(text.replace(edit[0], edit[1]))

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from f0synth.anonymize import SpeakerPool, load_pool, pool_from_dataset, write_pool
+from f0synth.anonymize import POOL_COLUMNS, SpeakerPool, load_pool, pool_from_dataset, write_pool
 from f0synth.cli import (
+    ANON_LOG_COLUMNS,
     KNOWN_KEYS,
     ConfigError,
     RunConfig,
@@ -22,10 +23,18 @@ from f0synth.cli import (
     parse_config_text,
     section_config,
 )
-from f0synth.featureio import NormStats, load_manifest, read_feature_file, write_feature_file
+from f0synth.featureio import (
+    MANIFEST_COLUMNS,
+    NormStats,
+    load_manifest,
+    read_csv,
+    read_feature_file,
+    write_feature_file,
+)
+from f0synth.metrics import REPORT_COLUMNS
 from f0synth.model import ModelConfig, ModelParams, load_checkpoint, predict_f0, save_checkpoint
-from f0synth.synthgen import SynthSpec
-from f0synth.training import TrainConfig
+from f0synth.synthgen import DATASET_ROLES, SynthSpec
+from f0synth.training import HISTORY_COLUMNS, TrainConfig
 
 
 def config_for(out_dir, **values):
@@ -286,6 +295,15 @@ class TestTrainCommand:
                 **{"train.manifest": world_dir / "train" / "manifest.csv",
                    "train.val_manifest": world_dir / "validation" / "manifest.csv"}))
 
+    def test_empty_val_manifest_named(self, tmp_path, world_dir):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(",".join(MANIFEST_COLUMNS) + "\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(empty))}: empty dataset"):
+            cmd_train(config_for(
+                tmp_path / "out",
+                **{"train.manifest": world_dir / "train" / "manifest.csv",
+                   "train.val_manifest": empty}))
+
     def test_missing_manifest_fails(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             cmd_train(config_for(
@@ -356,6 +374,18 @@ class TestEvalCommand:
                 f"(missing {missing}, extra {extra})")):
             cmd_eval(config_for(out, **{"eval.manifest": truth, "eval.pred_manifest": pred}))
         assert not out.exists()
+
+    def test_comma_in_dataset_name_fails_without_metrics(self, tmp_path, world_dir):
+        manifest = world_dir / "test" / "manifest.csv"
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "eval", "--out-dir", str(out),
+            "--set", f"eval.manifest={manifest}",
+            "--set", f"eval.pred_manifest={manifest}",
+            "--set", "eval.dataset_name=test,v2"])
+        assert result.exit_code == 1
+        assert f"error: {out / 'metrics.csv'}: row" in result.output
+        assert not (out / "metrics.csv").exists()
 
     def test_empty_manifest_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -587,6 +617,29 @@ class TestAnonymizeCommand:
                                          "anonymize.method": "shift_scale",
                                          "anonymize.k": 1}))
         assert not out.exists()
+
+
+class TestCsvOutputs:
+    def test_every_csv_the_cli_writes_reads_back(self, tmp_path, world_dir, trained_dir):
+        cmd_eval(config_for(tmp_path / "eval",
+                            **{"eval.manifest": world_dir / "test" / "manifest.csv",
+                               "eval.checkpoint": trained_dir / "checkpoint.f0md"}))
+        for method in ("synthesis", "shift_scale"):
+            cmd_anonymize(anon_config(tmp_path / method, world_dir, trained_dir,
+                                      **{"anonymize.method": method}))
+        written = {
+            **{world_dir / role / "manifest.csv": MANIFEST_COLUMNS for role in DATASET_ROLES},
+            world_dir / "pool.csv": POOL_COLUMNS,
+            trained_dir / "history.csv": HISTORY_COLUMNS,
+            tmp_path / "eval" / "metrics.csv": REPORT_COLUMNS,
+            tmp_path / "synthesis" / "anon_log.csv": ANON_LOG_COLUMNS,
+            tmp_path / "shift_scale" / "anon_log.csv": ANON_LOG_COLUMNS,
+        }
+        assert len(written) == 8
+        for path, columns in written.items():
+            rows = list(read_csv(path, columns))
+            assert rows, path
+            assert len(path.read_text().splitlines()) == len(rows) + 1, path
 
 
 def zero_params(input_dim):

@@ -16,7 +16,11 @@ from f0synth.featureio import (
     build_frame_table,
     compute_norm_stats,
     load_manifest,
+    pack_header,
+    read_csv,
     read_feature_file,
+    unpack_header,
+    write_csv,
     write_dataset,
     write_feature_file,
 )
@@ -111,6 +115,29 @@ class TestFeatureFile:
         with pytest.raises(ValueError, match="bad.f0"):
             write_feature_file(p, np.array([100.0, bad]))
         assert not p.exists()
+
+
+class TestCodecs:
+    def test_csv_write_read_roundtrip(self, tmp_path):
+        rows = [["u0", "", "features/u0.f0"], ["u1", "F", "x;y"]]
+        path = write_csv(tmp_path / "t.csv", ("a", "b", "c"), rows)
+        assert path.read_text() == "a,b,c\nu0,,features/u0.f0\nu1,F,x;y\n"
+        assert [fields for _, fields in read_csv(path, ("a", "b", "c"))] == rows
+
+    @pytest.mark.parametrize("row", [["x"], ["x", "y", "z"], ["x,y", "z"],
+                                     ["x\ny", "z"], ["x\ry", "z"], [" x", "z"], ["x", "z\t"]],
+                             ids=["short", "long", "comma", "newline", "return", "lead_space",
+                                  "trail_tab"])
+    def test_csv_bad_row_rejected_before_open(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="bad.csv"):
+            write_csv(path, ("a", "b"), [["ok", "ok"], row])
+        assert not path.exists()
+
+    def test_header_pack_unpack_inverse(self, tmp_path):
+        data = pack_header(b"TEST", 3, 7, 0, 2**32 - 1)
+        assert data == b"TEST" + bytes([3, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255])
+        assert unpack_header(tmp_path, data, b"TEST", 3, 3, "test file") == [7, 0, 2**32 - 1]
 
 
 class TestUtterance:
@@ -211,7 +238,9 @@ class TestManifest:
         (dict(xvec=np.zeros(3, dtype=np.float32)), None, "xvec dimension 3 != 2"),
         (dict(), ("\nu1,s0,F,", "\nu1,s0,X,"), "gender"),
         (dict(), ("\nu1,", "\nu0,"), "duplicate utt_id 'u0'"),
-    ], ids=["utt_id", "speaker_id", "bn_width", "xvec_width", "gender", "duplicate_utt_id"])
+        (dict(), ("features/u1.bn", "features/u1.f0"), "utterance 'u1': bn must be 2-D"),
+    ], ids=["utt_id", "speaker_id", "bn_width", "xvec_width", "gender", "duplicate_utt_id",
+            "rank"])
     def test_row_error_names_manifest_line(self, tmp_path, second, edit, words):
         manifest = write_dataset(Dataset([make_utt("u0"), make_utt("u1", **second)]), tmp_path)
         if edit is not None:

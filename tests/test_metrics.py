@@ -275,9 +275,9 @@ class TestReportFormatting:
         truth = {"u0": np.array([100.0, 0.0, 150.0, 210.0])}
         report = evaluate_utterances(truth, truth)
         row = report_csv_row("test", "F", report)
-        assert row == "test,F,0.0,0.0,100.0,100.0,100.0,100.0,1.000"
+        assert row == ["test", "F", "0.0", "0.0", "100.0", "100.0", "100.0", "100.0", "1.000"]
 
     def test_csv_row_absent_fields_empty(self):
         z = {"u0": np.zeros(3)}
         row = report_csv_row("test", "all", evaluate_utterances(z, z))
-        assert row == "test,all,,,100.0,,,100.0,"
+        assert row == ["test", "all", "", "", "100.0", "", "", "100.0", ""]

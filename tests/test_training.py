@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from f0synth.featureio import Dataset, Gender, Utterance, build_frame_table
+from f0synth.featureio import Dataset, Gender, Utterance, build_frame_table, write_csv
 from f0synth.metrics import FrameCounts, pitch_error_counts
 from f0synth.model import ModelConfig, backward, forward, infer_f0, init_params, predict_f0
 from f0synth.synthgen import SynthSpec, generate_synthetic_dataset
 from f0synth.training import (
+    HISTORY_COLUMNS,
     Gradients,
     OptimizerState,
     SchedulerState,
@@ -333,7 +334,7 @@ class TestTrainLoop:
     def test_determinism_end_to_end(self):
         p1, h1 = self.run(max_epochs=3)
         p2, h2 = self.run(max_epochs=3)
-        assert h1.to_csv_text() == h2.to_csv_text()
+        assert h1.csv_rows() == h2.csv_rows()
         for a, b in zip(p1.weights, p2.weights):
             assert np.array_equal(a, b)
 
@@ -377,13 +378,14 @@ class TestTrainLoop:
         # 1200 frames in batches of 256 end on a partial batch
         p1, h1 = self.run(max_epochs=2, dropout=0.2)
         p2, h2 = self.run(max_epochs=2, dropout=0.2)
-        assert h1.to_csv_text() == h2.to_csv_text()
+        assert h1.csv_rows() == h2.csv_rows()
         for a, b in zip((*p1.weights, *p1.biases), (*p2.weights, *p2.biases)):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
-    def test_history_csv_shape(self):
+    def test_history_csv_shape(self, tmp_path):
         _, history = self.run(max_epochs=2)
-        lines = history.to_csv_text().strip().split("\n")
+        path = write_csv(tmp_path / "history.csv", HISTORY_COLUMNS, history.csv_rows())
+        lines = path.read_text().strip().split("\n")
         assert lines[0] == "epoch,train_loss,val_metric,lr,event"
         assert len(lines) == 3
         assert lines[1].startswith("1,")
