@@ -17,7 +17,6 @@ import numpy as np
 
 from f0synth.anonymize import (
     ContrastiveMode,
-    F0Stats,
     assemble_synthesis_inputs,
     pool_from_dataset,
     select_pseudo_speaker,
@@ -45,15 +44,15 @@ pseudo = select_pseudo_speaker(pool, source.xvec, source.gender,
                                gender_mode="same", n=4, k=2, seed=0)
 print(f"source {source.speaker_id} ({source.gender.value}) -> "
       f"chose {pseudo.chosen_ids} from the 4 furthest same-gender members")
-print(f"pseudo F0 target: mean {pseudo.f0_mean:.1f} Hz, "
-      f"std {pseudo.f0_std:.1f} Hz (averages of the chosen members)")
+print(f"pseudo F0 target: mean {pseudo.stats.mean:.1f} Hz, "
+      f"std {pseudo.stats.std:.1f} Hz (averages of the chosen members)")
 again = select_pseudo_speaker(pool, source.xvec, source.gender,
                               gender_mode="same", n=4, k=2, seed=0)
 print(f"same seed, same choice: {again.chosen_ids == pseudo.chosen_ids}")
 
 print("\n=== 3. Shift-and-scale: exact statistics transfer ===")
 stats = speaker_f0_stats(test_ds)[source.speaker_id]
-target = F0Stats(pseudo.f0_mean, pseudo.f0_std)
+target = pseudo.stats
 outputs = [shift_scale_f0(u.f0, stats, target)
            for u in test_ds.utterances if u.speaker_id == source.speaker_id]
 pooled = np.concatenate([o[o > 0] for o in outputs])

@@ -25,7 +25,6 @@ from .anonymize import (
     PoolEntry,
     PseudoSpeaker,
     SpeakerPool,
-    cosine_distance,
     load_pool,
     pool_from_dataset,
     select_pseudo_speaker,
@@ -104,7 +103,6 @@ __all__ = [
     "build_frame_table",
     "composite_loss",
     "compute_norm_stats",
-    "cosine_distance",
     "evaluate_utterances",
     "forward",
     "generate_synthetic_dataset",

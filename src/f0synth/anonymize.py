@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -77,8 +78,8 @@ class SpeakerPool:
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
         object.__setattr__(self, "entries", entries)
-        ids = [e.speaker_id for e in entries]
-        if len(set(ids)) != len(ids):
+        object.__setattr__(self, "_by_id", {e.speaker_id: e for e in entries})
+        if len(self._by_id) != len(entries):
             raise ValueError("pool speaker_ids must be unique")
         dims = {len(e.xvec) for e in entries}
         if len(dims) > 1:
@@ -88,13 +89,24 @@ class SpeakerPool:
         return len(self.entries)
 
     def __getitem__(self, speaker_id: str) -> PoolEntry:
-        for e in self.entries:
-            if e.speaker_id == speaker_id:
-                return e
-        raise KeyError(f"unknown pool speaker {speaker_id!r}")
+        try:
+            return self._by_id[speaker_id]
+        except KeyError:
+            raise KeyError(f"unknown pool speaker {speaker_id!r}") from None
 
     def of_gender(self, gender: Gender) -> list[PoolEntry]:
         return [e for e in self.entries if e.gender is gender]
+
+    @cached_property
+    def _units(self) -> dict[Gender, tuple[np.ndarray, np.ndarray]]:
+        """Per gender present: ids and unit-norm embeddings, rows in ``of_gender`` order."""
+        units = {}
+        for gender in {e.gender for e in self.entries}:
+            members = self.of_gender(gender)
+            xvecs = np.array([e.xvec for e in members])
+            units[gender] = (np.array([e.speaker_id for e in members]),
+                             xvecs / np.linalg.norm(xvecs, axis=1, keepdims=True))
+        return units
 
 
 @dataclass(frozen=True)
@@ -103,12 +115,7 @@ class PseudoSpeaker:
 
     xvec: np.ndarray
     chosen_ids: tuple[str, ...]
-    f0_mean: float
-    f0_std: float
-
-    @property
-    def stats(self) -> F0Stats:
-        return F0Stats(self.f0_mean, self.f0_std)
+    stats: F0Stats
 
 
 class ContrastiveMode(Enum):
@@ -128,16 +135,6 @@ class ContrastiveMode(Enum):
                          f"(expected one of {[m.value for m in cls]})")
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cosine similarity; requires non-zero vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine distance undefined for zero vectors")
-    return 1.0 - float(a @ b) / (na * nb)
-
-
 def select_pseudo_speaker(
     pool: SpeakerPool,
     source_xvec: np.ndarray,
@@ -150,7 +147,8 @@ def select_pseudo_speaker(
     """Furthest-N, sample-K, average.
 
     The candidate set is the ``n`` target-gender entries with the largest
-    cosine distance from the source embedding (ties by ascending speaker_id);
+    cosine distance from the source embedding (ties by ascending speaker_id),
+    all distances taken in one product with the pool's unit embeddings;
     ``k`` are drawn from it uniformly without replacement using the
     seeded generator, and their embeddings and F0 statistics are
     arithmetically averaged.
@@ -159,17 +157,18 @@ def select_pseudo_speaker(
         raise ValueError(f"gender_mode must be 'same' or 'opposite', got {gender_mode!r}")
     target = source_gender if gender_mode == "same" else source_gender.opposite
     candidates = pool.of_gender(target)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if len(candidates) < n:
         raise ValueError(
             f"pool has {len(candidates)} {target.value} entries, need n={n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    dists = [cosine_distance(source_xvec, e.xvec) for e in candidates]
-    order = sorted(range(len(candidates)),
-                   key=lambda i: (-dists[i], candidates[i].speaker_id))
-    furthest = [candidates[i] for i in order[:n]]
+    source = np.asarray(source_xvec, dtype=np.float64)
+    norm = np.linalg.norm(source)
+    if norm == 0.0:
+        raise ValueError("cosine distance undefined for a zero source xvec")
+    ids, units = pool._units[target]
+    dists = 1.0 - units @ (source / norm)
+    furthest = [candidates[i] for i in np.lexsort((ids, -dists))[:n]]
     rng = np.random.default_rng(seed)
     picks = rng.choice(n, size=k, replace=False)
     chosen = [furthest[int(i)] for i in picks]
@@ -177,8 +176,8 @@ def select_pseudo_speaker(
     return PseudoSpeaker(
         xvec=xvec,
         chosen_ids=tuple(e.speaker_id for e in chosen),
-        f0_mean=float(np.mean([e.f0_mean for e in chosen])),
-        f0_std=float(np.mean([e.f0_std for e in chosen])),
+        stats=F0Stats(float(np.mean([e.f0_mean for e in chosen])),
+                      float(np.mean([e.f0_std for e in chosen]))),
     )
 
 

@@ -302,9 +302,7 @@ def cmd_eval(config: RunConfig) -> dict:
                                      {k: truth[k] for k in ids})
         reports[sex] = report
         rows.append(report_csv_row(dataset_name, sex, report))
-    out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = write_csv(out_dir / "metrics.csv", REPORT_COLUMNS, rows)
+    metrics_path = write_csv(config.out_dir / "metrics.csv", REPORT_COLUMNS, rows)
     click.echo(metrics_path.read_text(encoding="utf-8"), nl=False)
     click.echo(f"metrics: {metrics_path}")
     return {"metrics": metrics_path, "reports": reports}
@@ -391,7 +389,7 @@ def cmd_anonymize(config: RunConfig) -> dict:
             click.echo(f"FLAGGED {utt.utt_id}: rho_f0 {shown} "
                        f"(threshold {RHO_FLAG_THRESHOLD})")
         log_rows.append([utt.utt_id, mode.value, ";".join(pseudo.chosen_ids),
-                         f"{pseudo.f0_mean:.10g}", f"{pseudo.f0_std:.10g}"])
+                         f"{pseudo.stats.mean:.10g}", f"{pseudo.stats.std:.10g}"])
 
     log_path = write_csv(out_dir / "anon_log.csv", ANON_LOG_COLUMNS, log_rows)
     frames_per_second = synth_frames / synth_seconds if synth_seconds > 0 else None
@@ -401,7 +399,7 @@ def cmd_anonymize(config: RunConfig) -> dict:
     click.echo(f"flagged: {len(flagged)} of {len(sources)} utterances "
                f"below rho_f0 {RHO_FLAG_THRESHOLD}")
     if frames_per_second is not None:
-        click.echo(f"synthesis throughput: {frames_per_second:.0f} frames/s")
+        click.echo(f"synthesis throughput (predict_f0 only): {frames_per_second:.0f} frames/s")
     return {"log": log_path, "rhos": rhos, "flagged": flagged,
             "frames_per_second": frames_per_second, "f0_dir": f0_dir,
             "xvec_dir": xvec_dir}

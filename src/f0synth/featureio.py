@@ -257,8 +257,8 @@ def write_csv(path: str | Path, columns: tuple[str, ...], rows) -> Path:
     """Write the header and one comma-joined line per row; ``read_csv`` inverse.
 
     A row of the wrong width, or a field holding ``,`` or a line break or
-    one ``read_csv`` would strip, raises before the file is opened.
-    Returns ``path``.
+    one ``read_csv`` would strip, raises before the file or its directory
+    is made.  Returns ``path``.
     """
     path = Path(path)
     lines = [",".join(columns)]
@@ -269,6 +269,7 @@ def write_csv(path: str | Path, columns: tuple[str, ...], rows) -> Path:
             raise ValueError(f"{path}: row {row} is not {len(columns)} fields free of "
                              f"',', line breaks and outer spaces, not written")
         lines.append(line)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

@@ -185,7 +185,7 @@ def generate_synthetic_dataset(
                     logf0 += rng.normal(0.0, noise_log_std, size=len(logf0))
                 f0 = np.where(mapping.voiced_mask(bn32), np.exp(logf0), 0.0).astype(np.float32)
                 utterances.append(Utterance(
-                    utt_id=f"{speaker_id}_{role[0]}{utt_idx:03d}",
+                    utt_id=f"{speaker_id}_{role}{utt_idx:03d}",
                     speaker_id=speaker_id,
                     gender=gender,
                     f0=f0,

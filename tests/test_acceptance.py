@@ -388,8 +388,8 @@ def test_criterion_06_pool_selection_brute_force():
         ok = (set(p1.chosen_ids) <= want_ids
               and all(m.gender is target for m in chosen)
               and np.abs(p1.xvec - mean_xvec).max() <= 1e-12
-              and abs(p1.f0_mean - np.mean([m.f0_mean for m in chosen])) <= 1e-12
-              and abs(p1.f0_std - np.mean([m.f0_std for m in chosen])) <= 1e-12
+              and abs(p1.stats.mean - np.mean([m.f0_mean for m in chosen])) <= 1e-12
+              and abs(p1.stats.std - np.mean([m.f0_std for m in chosen])) <= 1e-12
               and p1.chosen_ids == p2.chosen_ids
               and np.array_equal(p1.xvec, p2.xvec))
         if not ok:

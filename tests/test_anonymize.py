@@ -8,7 +8,6 @@ from f0synth.anonymize import (
     PseudoSpeaker,
     SpeakerPool,
     assemble_synthesis_inputs,
-    cosine_distance,
     load_pool,
     pool_from_dataset,
     select_pseudo_speaker,
@@ -70,26 +69,10 @@ class TestPoolTypes:
     def test_lookup_and_gender_filter(self):
         pool = toy_pool()
         assert pool["b"].f0_mean == 200.0
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown pool speaker 'zz'"):
             pool["zz"]
         assert len(pool.of_gender(Gender.F)) == 3
         assert pool.of_gender(Gender.M) == []
-
-
-class TestCosineDistance:
-    def test_known_values(self):
-        assert cosine_distance([1.0, 0.0], [1.0, 0.0]) == pytest.approx(0.0)
-        assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
-        assert cosine_distance([1.0, 0.0], [-1.0, 0.0]) == pytest.approx(2.0)
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=5), rng.normal(size=5)
-        assert cosine_distance(a, b) == pytest.approx(cosine_distance(3.0 * a, b))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            cosine_distance([0.0, 0.0], [1.0, 0.0])
 
 
 class TestSelectPseudoSpeaker:
@@ -99,8 +82,8 @@ class TestSelectPseudoSpeaker:
         # candidates by distance: c (2.0), b (1.0); a (0.0) excluded
         assert sorted(pseudo.chosen_ids) == ["b", "c"]
         assert pseudo.xvec.tolist() == pytest.approx([-0.5, 0.5])
-        assert pseudo.f0_mean == pytest.approx(250.0)
-        assert pseudo.f0_std == pytest.approx(25.0)
+        assert pseudo.stats.mean == pytest.approx(250.0)
+        assert pseudo.stats.std == pytest.approx(25.0)
 
     def test_k_equals_n_whole_subpool_seed_independent(self):
         pool = toy_pool()
@@ -137,7 +120,8 @@ class TestSelectPseudoSpeaker:
             females = pool.of_gender(Gender.F)
             n = int(rng.integers(1, len(females) + 1))
             pseudo = select_pseudo_speaker(pool, src, Gender.F, n=n, k=n, seed=7)
-            dists = {e.speaker_id: cosine_distance(src, e.xvec) for e in females}
+            dists = {e.speaker_id: 1.0 - float(src @ e.xvec) / float(
+                np.sqrt(src @ src) * np.sqrt(e.xvec @ e.xvec)) for e in females}
             brute = sorted(dists, key=lambda sid: (-dists[sid], sid))[:n]
             assert sorted(pseudo.chosen_ids) == sorted(brute)
 
@@ -159,6 +143,20 @@ class TestSelectPseudoSpeaker:
         pseudo = select_pseudo_speaker(pool, np.array([1.0, 0.0]), Gender.F,
                                        n=1, k=1, seed=0)
         assert pseudo.chosen_ids == ("b",)  # tie at distance 1.0 → lowest id
+
+    def test_multi_way_tie_across_n_boundary_keeps_lowest_ids(self):
+        # z is furthest; four entries share one embedding at distance 1.0, and
+        # n=3 takes two of them: the two lowest ids, whatever the pool order
+        tied = [entry(sid, Gender.F, [0.0, 1.0]) for sid in ("q", "e", "m", "g")]
+        pool = SpeakerPool((entry("a", Gender.F, [1.0, 0.0]), tied[0],
+                            entry("z", Gender.F, [-1.0, 0.0]), *tied[1:]))
+        pseudo = select_pseudo_speaker(pool, np.array([1.0, 0.0]), Gender.F,
+                                       n=3, k=3, seed=0)
+        assert sorted(pseudo.chosen_ids) == ["e", "g", "z"]
+
+    def test_zero_source_rejected(self):
+        with pytest.raises(ValueError, match="zero source xvec"):
+            select_pseudo_speaker(toy_pool(), np.zeros(2), Gender.F, n=2, k=1)
 
     def test_pseudo_in_convex_hull_of_members(self):
         rng = np.random.default_rng(13)
@@ -294,7 +292,7 @@ class TestShiftScale:
 class TestContrastiveRouting:
     def setup_method(self):
         self.pseudo = PseudoSpeaker(xvec=np.array([9.0, 9.0]), chosen_ids=("a",),
-                                    f0_mean=150.0, f0_std=15.0)
+                                    stats=F0Stats(150.0, 15.0))
         self.source = np.array([1.0, 2.0])
 
     def test_mode_parse(self):

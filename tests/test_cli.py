@@ -205,6 +205,11 @@ class TestSynthgenCommand:
         assert (tmp_path / "pool.csv").read_bytes() == (world_dir / "pool.csv").read_bytes()
         assert tree_hash(tmp_path / "pool_xvecs") == tree_hash(world_dir / "pool_xvecs")
 
+    def test_roles_share_no_utt_id(self, world_dir):
+        ids = [{u.utt_id for u in load_manifest(world_dir / role / "manifest.csv").utterances}
+               for role in DATASET_ROLES]
+        assert len(set().union(*ids)) == sum(len(role_ids) for role_ids in ids) == 3 * 18
+
     def test_regeneration_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         cmd_synthgen(config_for(a, **WORLD_KEYS))
@@ -385,7 +390,7 @@ class TestEvalCommand:
             "--set", "eval.dataset_name=test,v2"])
         assert result.exit_code == 1
         assert f"error: {out / 'metrics.csv'}: row" in result.output
-        assert not (out / "metrics.csv").exists()
+        assert not out.exists()
 
     def test_empty_manifest_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -413,9 +418,10 @@ def anon_config(out, world_dir, trained_dir=None, **extra):
 
 
 class TestAnonymizeCommand:
-    def test_outputs_and_log_format(self, tmp_path, world_dir, trained_dir):
+    def test_outputs_and_log_format(self, tmp_path, world_dir, trained_dir, capsys):
         out = tmp_path / "anon"
         result = cmd_anonymize(anon_config(out, world_dir, trained_dir, seed=9))
+        assert "synthesis throughput (predict_f0 only): " in capsys.readouterr().out
         sources = load_manifest(world_dir / "test" / "manifest.csv")
         lines = (out / "anon_log.csv").read_text().splitlines()
         assert lines[0] == "utt_id,mode,chosen_ids,tgt_mean,tgt_std"

@@ -39,7 +39,7 @@ def reference_utterances(spec, role, mapping):
                     f0 = f0.astype(np.float32)
                 else:
                     f0 = mapping.f0(gender, bn32)
-                utt_id = f"{gender.value}{spk_idx:03d}_{role[0]}{utt_idx:03d}"
+                utt_id = f"{gender.value}{spk_idx:03d}_{role}{utt_idx:03d}"
                 yield utt_id, bn32, f0
 
 
