@@ -300,10 +300,11 @@ def load_manifest(path: str | Path) -> Dataset:
                 raise ValueError(f"duplicate utt_id {utt_id!r}")
             seen.add(utt_id)
             gender = Gender.parse(gender_tok)
-            for p in paths:
-                if not p.is_file():
-                    raise FileNotFoundError(f"{where}: missing feature file {p}")
-            f0, bn, xvec = (read_feature_file(p) for p in paths)
+            try:
+                f0, bn, xvec = (read_feature_file(p) for p in paths)
+            except (FileNotFoundError, IsADirectoryError) as exc:
+                raise FileNotFoundError(
+                    f"{where}: missing feature file {exc.filename}") from exc
             utt = Utterance(utt_id, speaker_id, gender, f0, bn, xvec)
             first = utterances[0] if utterances else utt
             for name, got, want in (("bn", utt.bn.shape[1], first.bn.shape[1]),

@@ -11,8 +11,10 @@ Each speaker gets a random embedding whose first coordinate is exactly
 +1.0 (female) or -1.0 (male).  Per-frame features follow a smooth
 first-order autoregressive walk with N(0,1) marginal, so neighboring
 frames are correlated like real acoustic features.  Each utterance draws
-from its own seeded stream; one recursion over time walks all of a
-speaker's utterances at once.  Ground truth:
+from its own seeded stream; one recursion over time walks a block of a
+role's utterances at once.  A block holds up to ``WALK_BLOCK_VALUES``
+walk values, never fewer than one speaker's utterances, and may span
+speakers and genders.  Ground truth:
 
     ln F0[t] = ln(base_f0[gender]) + weights . bn[t, :k]
     voiced[t] = bn[t, 1] > voicing_threshold
@@ -38,6 +40,8 @@ WALK_COEFF = 0.9
 MAX_ACTIVE_DIMS = 8
 # Cents-to-natural-log conversion: one cent is a 2**(1/1200) ratio.
 LOG_PER_CENT = np.log(2.0) / 1200.0
+# Walk values (float64, 2 MiB) per block; a block still holds a whole speaker.
+WALK_BLOCK_VALUES = 1 << 18
 
 # Seed-stream tags (first element after the user seed).
 _STREAM_MAPPING = 0
@@ -80,10 +84,14 @@ class SynthSpec:
             raise ValueError("d_bn must be >= 2 (voicing reads coordinate 1)")
         if self.d_xv < 1:
             raise ValueError("d_xv must be >= 1 (gender reads coordinate 0)")
+        for name in ("weight_scale", "voicing_threshold", "noise_std_cents"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if set(self.base_f0) != {Gender.F, Gender.M}:
             raise ValueError("base_f0 must map both genders")
-        if any(v <= 0 for v in self.base_f0.values()):
-            raise ValueError("base_f0 values must be positive")
+        if not all(0 < v < np.inf for v in self.base_f0.values()):
+            raise ValueError("base_f0 values must be positive and finite")
         if self.noise_std_cents < 0:
             raise ValueError("noise_std_cents must be non-negative")
 
@@ -139,8 +147,8 @@ def _speaker_xvec(spec: SynthSpec, gender_idx: int, spk_idx: int) -> np.ndarray:
     return xvec.astype(np.float32)
 
 
-def _speaker_walks(rngs: list[np.random.Generator], n_frames: int, d: int) -> np.ndarray:
-    """AR(1) walks, N(0,1) marginal, of one speaker's utterances: (utts, frames, d).
+def _block_walks(rngs: list[np.random.Generator], n_frames: int, d: int) -> np.ndarray:
+    """AR(1) walks, N(0,1) marginal, of one block of utterances: (utts, frames, d).
 
     Steps come from each utterance's own stream.  IEEE + and * commute, so
     the in-place ``scale*step[t] + c*bn[t-1]`` has the scalar walk's bits.
@@ -170,26 +178,32 @@ def generate_synthetic_dataset(
     mapping = _make_mapping(spec)
     role_stream = _STREAM_UTT_BASE + DATASET_ROLES.index(role)
     noise_log_std = spec.noise_std_cents * LOG_PER_CENT
+    speakers = [(gender_idx, gender, spk_idx, _speaker_xvec(spec, gender_idx, spk_idx))
+                for gender_idx, gender in enumerate((Gender.F, Gender.M))
+                for spk_idx in range(spec.n_speakers_per_gender)]
+    keys = [(speaker, utt_idx) for speaker in speakers
+            for utt_idx in range(spec.utts_per_speaker)]
+    block = max(spec.utts_per_speaker,
+                WALK_BLOCK_VALUES // (spec.frames_per_utt * spec.d_bn))
     utterances = []
-    for gender_idx, gender in enumerate((Gender.F, Gender.M)):
-        for spk_idx in range(spec.n_speakers_per_gender):
+    for start in range(0, len(keys), block):
+        chunk = keys[start:start + block]
+        rngs = [np.random.default_rng([spec.seed, role_stream, gender_idx, spk_idx, utt_idx])
+                for (gender_idx, _, spk_idx, _), utt_idx in chunk]
+        walks = _block_walks(rngs, spec.frames_per_utt, spec.d_bn)
+        for ((_, gender, spk_idx, xvec), utt_idx), rng, bn in zip(chunk, rngs, walks):
             speaker_id = f"{gender.value}{spk_idx:03d}"
-            xvec = _speaker_xvec(spec, gender_idx, spk_idx)
-            rngs = [np.random.default_rng([spec.seed, role_stream, gender_idx, spk_idx, u])
-                    for u in range(spec.utts_per_speaker)]
-            walks = _speaker_walks(rngs, spec.frames_per_utt, spec.d_bn)
-            for utt_idx, (rng, bn) in enumerate(zip(rngs, walks)):
-                bn32 = bn.astype(np.float32)
-                logf0 = mapping.logf0(gender, bn32)
-                if noise_log_std > 0:
-                    logf0 += rng.normal(0.0, noise_log_std, size=len(logf0))
-                f0 = np.where(mapping.voiced_mask(bn32), np.exp(logf0), 0.0).astype(np.float32)
-                utterances.append(Utterance(
-                    utt_id=f"{speaker_id}_{role}{utt_idx:03d}",
-                    speaker_id=speaker_id,
-                    gender=gender,
-                    f0=f0,
-                    bn=bn32,
-                    xvec=xvec,
-                ))
+            bn32 = bn.astype(np.float32)
+            logf0 = mapping.logf0(gender, bn32)
+            if noise_log_std > 0:
+                logf0 += rng.normal(0.0, noise_log_std, size=len(logf0))
+            f0 = np.where(mapping.voiced_mask(bn32), np.exp(logf0), 0.0).astype(np.float32)
+            utterances.append(Utterance(
+                utt_id=f"{speaker_id}_{role}{utt_idx:03d}",
+                speaker_id=speaker_id,
+                gender=gender,
+                f0=f0,
+                bn=bn32,
+                xvec=xvec,
+            ))
     return Dataset(utterances), mapping

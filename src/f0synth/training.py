@@ -69,8 +69,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.lr <= 0 or self.batch_size <= 0:
-            raise ValueError("alpha, lr, and batch_size must be positive")
+        for name in ("alpha", "lr"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         if not 0.0 < self.lr_factor < 1.0:
             raise ValueError("lr_factor must be in (0, 1)")
         if self.patience_lr < 1 or self.patience_stop < 1:

@@ -238,6 +238,20 @@ class TestSynthgenCommand:
         assert not (out / "train").exists()
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, field", [
+        ("synth.weight_scale", "weight_scale"),
+        ("synth.voicing_threshold", "voicing_threshold"),
+        ("synth.noise_std_cents", "noise_std_cents"),
+        ("synth.base_f0_male", "base_f0"),
+    ])
+    def test_non_finite_float_fails_naming_key_before_writing(self, tmp_path, key, field):
+        out = tmp_path / "w"
+        result = CliRunner().invoke(main, ["synthgen", "--out-dir", str(out),
+                                           "--set", f"{key}=nan"])
+        assert result.exit_code == 1
+        assert f"error: {field}" in result.output
+        assert not out.exists()
+
     def test_cli_exit_zero_on_success(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, [
@@ -299,6 +313,24 @@ class TestTrainCommand:
                 blocker,
                 **{"train.manifest": world_dir / "train" / "manifest.csv",
                    "train.val_manifest": world_dir / "validation" / "manifest.csv"}))
+
+    @pytest.mark.parametrize("key", ["train.lr", "train.alpha"])
+    def test_non_finite_float_fails_naming_key_before_training(self, tmp_path, world_dir,
+                                                               monkeypatch, key):
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("train ran with a non-finite setting")
+
+        monkeypatch.setattr("f0synth.cli.train", must_not_train)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "train", "--out-dir", str(out),
+            "--set", f"train.manifest={world_dir / 'train' / 'manifest.csv'}",
+            "--set", f"train.val_manifest={world_dir / 'validation' / 'manifest.csv'}",
+            "--set", f"{key}=nan"])
+        assert result.exit_code == 1
+        assert f"error: {key.removeprefix('train.')} must be positive and finite" \
+            in result.output
+        assert not (out / "checkpoint.f0md").exists()
 
     def test_empty_val_manifest_named(self, tmp_path, world_dir):
         empty = tmp_path / "empty.csv"

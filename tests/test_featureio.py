@@ -212,10 +212,20 @@ class TestManifest:
             load_manifest(p)
 
     def test_missing_file_rejected(self, tmp_path):
-        ds = Dataset([make_utt()])
-        manifest = write_dataset(ds, tmp_path)
-        (tmp_path / "features" / "u0.bn").unlink()
-        with pytest.raises(FileNotFoundError):
+        self.check_missing_feature(tmp_path, make_directory=False)
+
+    def test_directory_in_place_of_file_rejected(self, tmp_path):
+        self.check_missing_feature(tmp_path, make_directory=True)
+
+    @staticmethod
+    def check_missing_feature(tmp_path, make_directory):
+        manifest = write_dataset(Dataset([make_utt()]), tmp_path)
+        feature = tmp_path / "features" / "u0.bn"
+        feature.unlink()
+        if make_directory:
+            feature.mkdir()
+        with pytest.raises(FileNotFoundError,
+                           match=f"manifest.csv:2: missing feature file {re.escape(str(feature))}"):
             load_manifest(manifest)
 
     def test_dimension_mismatch_rejected(self, tmp_path):

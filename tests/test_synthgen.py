@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from f0synth import synthgen
 from f0synth.featureio import Gender, load_manifest, write_dataset
 from f0synth.synthgen import (
     DATASET_ROLES,
@@ -20,6 +21,26 @@ def scalar_walk(rng, n_frames, d):
     for t in range(1, n_frames):
         bn[t] = WALK_COEFF * bn[t - 1] + innovation_scale * steps[t]
     return bn
+
+
+def block_utts(spec):
+    """Utterances per walk block, as ``generate_synthetic_dataset`` sizes them."""
+    return max(spec.utts_per_speaker,
+               synthgen.WALK_BLOCK_VALUES // (spec.frames_per_utt * spec.d_bn))
+
+
+@pytest.fixture
+def walk_calls(monkeypatch):
+    """Spy on the walk helper: the number of utterances in each call."""
+    calls = []
+    walk = synthgen._block_walks
+
+    def spy(rngs, n_frames, d):
+        calls.append(len(rngs))
+        return walk(rngs, n_frames, d)
+
+    monkeypatch.setattr(synthgen, "_block_walks", spy)
+    return calls
 
 
 def reference_utterances(spec, role, mapping):
@@ -55,10 +76,18 @@ class TestSynthSpec:
         dict(d_xv=0),
         dict(base_f0={Gender.F: 190.0, Gender.M: -1.0}),
         dict(noise_std_cents=-0.5),
+        dict(base_f0={Gender.F: 190.0, Gender.M: np.nan}),
+        dict(base_f0={Gender.F: np.inf, Gender.M: 120.0}),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SynthSpec(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["weight_scale", "voicing_threshold", "noise_std_cents"])
+    def test_non_finite_float_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SynthSpec(**{name: value})
 
 
 class TestGeneration:
@@ -124,19 +153,37 @@ class TestGeneration:
             generate_synthetic_dataset(SynthSpec(), role="dev")
 
 
+WALK_CASES = pytest.mark.parametrize("kwargs", [
+    dict(utts_per_speaker=3, frames_per_utt=40, d_bn=5),
+    dict(utts_per_speaker=3, frames_per_utt=40, d_bn=5, noise_std_cents=25.0),
+    dict(utts_per_speaker=1, frames_per_utt=30, d_bn=2),
+    dict(utts_per_speaker=1, frames_per_utt=30, d_bn=2, noise_std_cents=10.0),
+    dict(utts_per_speaker=4, frames_per_utt=1, d_bn=2),
+    dict(utts_per_speaker=2, frames_per_utt=1, d_bn=3, noise_std_cents=15.0),
+], ids=["noiseless", "noisy", "one_utt", "one_utt_noisy", "one_frame", "one_frame_noisy"])
+
+
 class TestBatchedWalk:
     @pytest.mark.parametrize("role", DATASET_ROLES)
-    @pytest.mark.parametrize("kwargs", [
-        dict(utts_per_speaker=3, frames_per_utt=40, d_bn=5),
-        dict(utts_per_speaker=3, frames_per_utt=40, d_bn=5, noise_std_cents=25.0),
-        dict(utts_per_speaker=1, frames_per_utt=30, d_bn=2),
-        dict(utts_per_speaker=1, frames_per_utt=30, d_bn=2, noise_std_cents=10.0),
-        dict(utts_per_speaker=4, frames_per_utt=1, d_bn=2),
-        dict(utts_per_speaker=2, frames_per_utt=1, d_bn=3, noise_std_cents=15.0),
-    ], ids=["noiseless", "noisy", "one_utt", "one_utt_noisy", "one_frame",
-            "one_frame_noisy"])
-    def test_bits_equal_scalar_walk(self, kwargs, role):
+    @WALK_CASES
+    def test_bits_equal_scalar_walk(self, kwargs, role, walk_calls):
         spec = SynthSpec(n_speakers_per_gender=2, d_xv=2, seed=41, **kwargs)
+        self.check_bits_equal_scalar_walk(spec, role, walk_calls)
+
+    @pytest.mark.parametrize("role", DATASET_ROLES)
+    @WALK_CASES
+    def test_bits_equal_scalar_walk_in_blocks_of_4(self, kwargs, role, monkeypatch,
+                                                   walk_calls):
+        # With 3 utterances per speaker, blocks of 4 end inside F001 and span
+        # F001 -> M000; with 1 per speaker they span 4 speakers.
+        spec = SynthSpec(n_speakers_per_gender=2, d_xv=2, seed=41, **kwargs)
+        monkeypatch.setattr(synthgen, "WALK_BLOCK_VALUES",
+                            4 * spec.frames_per_utt * spec.d_bn)
+        assert block_utts(spec) == max(spec.utts_per_speaker, 4)
+        self.check_bits_equal_scalar_walk(spec, role, walk_calls)
+
+    @staticmethod
+    def check_bits_equal_scalar_walk(spec, role, walk_calls):
         ds, mapping = generate_synthetic_dataset(spec, role=role)
         expected = list(reference_utterances(spec, role, mapping))
         assert len(ds) == len(expected)
@@ -144,6 +191,32 @@ class TestBatchedWalk:
             assert utt.utt_id == utt_id
             assert np.array_equal(utt.bn.view(np.uint32), bn32.view(np.uint32))
             assert np.array_equal(utt.f0.view(np.uint32), f0.view(np.uint32))
+        assert sum(walk_calls) == len(ds)
+        assert max(walk_calls) <= block_utts(spec)
+
+    @pytest.mark.parametrize("block_values, expected_calls", [
+        (1, [3, 3, 3, 3]),  # a block never holds less than one speaker
+        (4 * 40 * 5, [4, 4, 4]),  # ends inside F001, spans F001 -> M000
+        (5 * 40 * 5 + 7, [5, 5, 2]),  # the value budget rounds down to whole utterances
+        (1 << 18, [12]),
+    ])
+    def test_blocks_are_consecutive_and_bounded(self, block_values, expected_calls,
+                                                monkeypatch, walk_calls):
+        monkeypatch.setattr(synthgen, "WALK_BLOCK_VALUES", block_values)
+        spec = SynthSpec(n_speakers_per_gender=2, utts_per_speaker=3, frames_per_utt=40,
+                         d_bn=5, d_xv=2, seed=41)
+        generate_synthetic_dataset(spec)
+        assert walk_calls == expected_calls
+        assert max(walk_calls) <= block_utts(spec)
+
+    def test_quickstart_world_walks_four_blocks_per_role(self, walk_calls):
+        # 520 frames x 16 dims: 31 utterances fill a 2 MiB block of float64
+        spec = SynthSpec(n_speakers_per_gender=10, utts_per_speaker=5, frames_per_utt=520)
+        for role in DATASET_ROLES:
+            walk_calls.clear()
+            generate_synthetic_dataset(spec, role=role)
+            assert walk_calls == [31, 31, 31, 7]
+            assert 31 * 520 * 16 <= synthgen.WALK_BLOCK_VALUES
 
 
 class TestGroundTruthMapping:

@@ -451,3 +451,9 @@ class TestTrainConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "lr"])
+    def test_non_finite_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            TrainConfig(**{name: value})
