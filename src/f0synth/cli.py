@@ -240,15 +240,13 @@ def cmd_train(config: RunConfig) -> dict:
     """Train on a manifest pair; write checkpoint.f0md and history.csv."""
     train_manifest = config.require("train.manifest")
     val_manifest = config.require("train.val_manifest")
-    out_dir = config.out_dir
-    # Made before any data is read, so an unusable out_dir fails before training.
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_ds = load_manifest(train_manifest)
-    val_ds = load_manifest(val_manifest)
-    table = build_frame_table(train_ds)
-    model_config = section_config(config, "model", input_dim=table.rows.shape[1])
+    # Settings, out_dir, then data: each fails before the next; no Dataset is kept.
     train_config = section_config(config, "train", seed=config.seed)
-    params, history = train(table, val_ds, model_config, train_config)
+    out_dir = config.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    table = build_frame_table(load_manifest(train_manifest))
+    model_config = section_config(config, "model", input_dim=table.rows.shape[1])
+    params, history = train(table, load_manifest(val_manifest), model_config, train_config)
     checkpoint = out_dir / "checkpoint.f0md"
     save_checkpoint(checkpoint, params, dropout=model_config.dropout)
     history_path = write_csv(out_dir / "history.csv", HISTORY_COLUMNS, history.csv_rows())

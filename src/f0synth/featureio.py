@@ -344,9 +344,9 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
 class FrameTable:
     """All frames of a dataset stacked into one tall training matrix.
 
-    ``rows[r]`` is ``[xvec, bn-row]`` for one frame; ``target_logf0[r]`` is
-    ln(F0 Hz) where voiced and a 0.0 sentinel where unvoiced (the ``voiced``
-    mask is authoritative, regression must never read unvoiced targets).
+    ``rows[r]`` is ``[xvec, bn-row]`` for one frame, float32 as the feature
+    files store it; ``target_logf0[r]`` is ln(F0 Hz) where voiced and a 0.0
+    sentinel where unvoiced (the ``voiced`` mask is authoritative).
     """
 
     rows: np.ndarray
@@ -365,18 +365,17 @@ def build_frame_table(dataset: Dataset) -> FrameTable:
     """
     if not dataset.utterances:
         raise ValueError("cannot build a frame table from an empty dataset")
-    blocks, targets, masks = [], [], []
+    first = dataset.utterances[0]
+    d_xv = len(first.xvec)
+    rows = np.empty((dataset.total_frames, d_xv + first.bn.shape[1]), dtype=np.float32)
+    end = 0
     for utt in dataset.utterances:
-        blocks.append(utt.features())
-        f0 = utt.f0.astype(np.float64)
-        voiced = f0 > 0
-        targets.append(np.where(voiced, np.log(np.where(voiced, f0, 1.0)), 0.0))
-        masks.append(voiced)
-    return FrameTable(
-        rows=np.vstack(blocks),
-        target_logf0=np.concatenate(targets),
-        voiced=np.concatenate(masks),
-    )
+        end += utt.n_frames
+        rows[end - utt.n_frames:end, :d_xv] = utt.xvec
+        rows[end - utt.n_frames:end, d_xv:] = utt.bn
+    f0 = np.concatenate([u.f0 for u in dataset.utterances]).astype(np.float64)
+    voiced = f0 > 0
+    return FrameTable(rows, np.where(voiced, np.log(np.where(voiced, f0, 1.0)), 0.0), voiced)
 
 
 @dataclass
@@ -404,7 +403,8 @@ class NormStats:
         return cls(np.zeros(dim), np.ones(dim), 0.0, 1.0)
 
     def normalize_inputs(self, raw: np.ndarray) -> np.ndarray:
-        return (np.asarray(raw, dtype=np.float64) - self.input_mean) / self.input_std
+        normed = np.subtract(raw, self.input_mean, dtype=np.float64)
+        return np.divide(normed, self.input_std, out=normed)
 
     def normalize_logf0(self, logf0):
         return (logf0 - self.logf0_mean) / self.logf0_std
@@ -417,8 +417,8 @@ def compute_norm_stats(table: FrameTable) -> NormStats:
     """Population mean/std of inputs (all rows) and log-F0 (voiced rows only)."""
     if not table.voiced.any():
         raise ValueError("frame table has no voiced frames")
-    input_mean = table.rows.mean(axis=0)
-    input_std = np.maximum(table.rows.std(axis=0), STD_FLOOR)
+    input_mean = table.rows.mean(axis=0, dtype=np.float64)
+    input_std = np.maximum(table.rows.std(axis=0, dtype=np.float64), STD_FLOOR)
     voiced_targets = table.target_logf0[table.voiced]
     logf0_mean = float(voiced_targets.mean())
     logf0_std = float(max(voiced_targets.std(), STD_FLOOR))

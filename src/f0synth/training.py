@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .featureio import Dataset, FrameTable, compute_norm_stats
+from .featureio import Dataset, FrameTable, build_frame_table, compute_norm_stats
 from .metrics import pitch_error_counts
 from .model import (
     Gradients,
@@ -51,6 +51,7 @@ NADAM_BETA1 = 0.9
 NADAM_BETA2 = 0.999
 NADAM_EPS = 1e-8
 NADAM_PSI = 0.004
+VALIDATION_BLOCK_ROWS = 4096  # rows per forward pass in validation_metric
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "val_metric", "lr", "event")
 
@@ -240,19 +241,19 @@ class TrainHistory:
 class ValidationSet:
     """Validation frames prepared once for a run's fixed normalization.
 
-    ``rows`` holds each utterance's normalized feature rows, ``truth_f0``
-    all frames' truth F0 in Hz, in utterance order.
+    ``rows`` is one float64 array of every frame's normalized feature row,
+    ``truth_f0`` every frame's truth F0 in Hz, both in utterance order.
     """
 
-    rows: list[np.ndarray]
+    rows: np.ndarray
     truth_f0: np.ndarray
 
 
 def prepare_validation(params: ModelParams, val_dataset: Dataset) -> ValidationSet:
-    """Normalize every validation utterance with ``params.norm``, once."""
+    """Normalize every validation frame with ``params.norm``, once."""
     if val_dataset.total_frames == 0:
         raise ValueError("validation dataset has no frames")
-    rows = [params.norm.normalize_inputs(u.features()) for u in val_dataset.utterances]
+    rows = params.norm.normalize_inputs(build_frame_table(val_dataset).rows)
     truth = np.concatenate([u.f0.astype(np.float64) for u in val_dataset.utterances])
     return ValidationSet(rows, truth)
 
@@ -260,11 +261,13 @@ def prepare_validation(params: ModelParams, val_dataset: Dataset) -> ValidationS
 def validation_metric(params: ModelParams, val: ValidationSet) -> float:
     """Accurately-processed fraction pooled over all validation frames.
 
-    Each utterance runs through the network on its own, as ``predict_f0``
-    runs it; the pitch counts are integer sums, so counting the
-    concatenated frames once equals pooling per-utterance counts.
+    Frames run in blocks of ``VALIDATION_BLOCK_ROWS``; a row's last bit can
+    differ from ``predict_f0`` on its utterance alone (see README).  The
+    pitch counts are integer sums, so one count over all frames equals
+    pooling per-utterance counts.
     """
-    pred = np.concatenate([infer_f0(params, rows)[0] for rows in val.rows])
+    pred = np.concatenate([infer_f0(params, val.rows[start:start + VALIDATION_BLOCK_ROWS])[0]
+                           for start in range(0, len(val.rows), VALIDATION_BLOCK_ROWS)])
     return pitch_error_counts(pred, val.truth_f0).accurately_processed
 
 
@@ -281,8 +284,8 @@ def train(
     included), and validated with the accurately-processed metric; the
     plateau scheduler drives lr reductions and early stopping.  The
     returned parameters are the copy that achieved the best validation
-    metric, not the last epoch's.  Validation rows are normalized once per
-    run.
+    metric, not the last epoch's.  Training rows are normalized per batch,
+    validation rows once per run, after which ``val_dataset`` is dropped.
     """
     if train_table.n_rows == 0:
         raise ValueError("empty training table")
@@ -293,11 +296,10 @@ def train(
 
     params = init_params(model_config, train_config.seed)
     params.norm = compute_norm_stats(train_table)
-    inputs = params.norm.normalize_inputs(train_table.rows)
     targets = np.where(train_table.voiced,
                        params.norm.normalize_logf0(train_table.target_logf0), 0.0)
-    voiced = train_table.voiced
     val = prepare_validation(params, val_dataset)
+    del val_dataset
 
     opt = init_optimizer(params)
     sched = SchedulerState(
@@ -317,12 +319,12 @@ def train(
         for batch_idx, start in enumerate(range(0, n, train_config.batch_size)):
             idx = perm[start:start + train_config.batch_size]
             f0hat, g, cache = forward(
-                params, inputs[idx], train_mode=True,
+                params, params.norm.normalize_inputs(train_table.rows[idx]), train_mode=True,
                 dropout=model_config.dropout,
                 dropout_seed=[train_config.seed, epoch, batch_idx],
             )
             loss, d_f0hat, d_g = composite_loss(
-                f0hat, g, targets[idx], voiced[idx], train_config.alpha)
+                f0hat, g, targets[idx], train_table.voiced[idx], train_config.alpha)
             grads = backward(params, cache, d_f0hat, d_g)
             # Frees this pass's buffer before the next forward allocates one.
             del f0hat, g, cache

@@ -321,16 +321,20 @@ class TestTrainCommand:
             raise AssertionError("train ran with a non-finite setting")
 
         monkeypatch.setattr("f0synth.cli.train", must_not_train)
+        # Feature files that do not exist: the setting must fail before any is read.
+        manifest = write_manifest(tmp_path / "gone" / "manifest.csv",
+                                  (world_dir / "train" / "manifest.csv").read_text()
+                                  .splitlines())
         out = tmp_path / "out"
         result = CliRunner().invoke(main, [
             "train", "--out-dir", str(out),
-            "--set", f"train.manifest={world_dir / 'train' / 'manifest.csv'}",
-            "--set", f"train.val_manifest={world_dir / 'validation' / 'manifest.csv'}",
+            "--set", f"train.manifest={manifest}",
+            "--set", f"train.val_manifest={manifest}",
             "--set", f"{key}=nan"])
         assert result.exit_code == 1
         assert f"error: {key.removeprefix('train.')} must be positive and finite" \
             in result.output
-        assert not (out / "checkpoint.f0md").exists()
+        assert not out.exists()
 
     def test_empty_val_manifest_named(self, tmp_path, world_dir):
         empty = tmp_path / "empty.csv"

@@ -282,6 +282,26 @@ class TestFrameTable:
         with pytest.raises(ValueError, match="empty"):
             build_frame_table(Dataset([]))
 
+    def test_rows_are_stored_float32_of_stacked_features(self):
+        ds = uneven_dataset()
+        rows = build_frame_table(ds).rows
+        assert rows.dtype == np.float32
+        stacked = np.vstack([u.features() for u in ds.utterances])
+        assert np.array_equal(rows.astype(np.float64).view(np.uint64),
+                              stacked.view(np.uint64))
+
+
+def uneven_dataset(seed=3):
+    """Utterances of uneven lengths (one of a single frame) with random values."""
+    rng = np.random.default_rng(seed)
+    utts = []
+    for i, n in enumerate((57, 1, 300, 8, 129)):
+        f0 = np.where(rng.random(n) < 0.7, rng.uniform(70.0, 400.0, n), 0.0)
+        utts.append(make_utt(f"u{i}", f"s{i % 2}", f0=f0.astype(np.float32),
+                             bn=rng.normal(0.3, 2.0, (n, 5)).astype(np.float32),
+                             xvec=rng.normal(size=3).astype(np.float32)))
+    return Dataset(utts)
+
 
 class TestNormStats:
     def test_input_stats_population(self):
@@ -301,6 +321,24 @@ class TestNormStats:
         stats = compute_norm_stats(build_frame_table(ds))
         assert stats.logf0_mean == pytest.approx(np.log(200.0), abs=1e-9)
         assert stats.logf0_std == pytest.approx(np.log(2.0), abs=1e-9)
+
+    def test_input_stats_equal_stats_of_float64_table(self):
+        ds = uneven_dataset()
+        stats = compute_norm_stats(build_frame_table(ds))
+        stacked = np.vstack([u.features() for u in ds.utterances])
+        want_std = np.maximum(stacked.std(axis=0), STD_FLOOR)
+        assert np.array_equal(stats.input_mean.view(np.uint64),
+                              stacked.mean(axis=0).view(np.uint64))
+        assert np.array_equal(stats.input_std.view(np.uint64), want_std.view(np.uint64))
+
+    def test_normalize_float32_equals_normalize_float64(self):
+        ds = uneven_dataset()
+        table = build_frame_table(ds)
+        stats = compute_norm_stats(table)
+        want = (table.rows.astype(np.float64) - stats.input_mean) / stats.input_std
+        got = stats.normalize_inputs(table.rows)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_all_unvoiced_rejected(self):
         ds = Dataset([make_utt(f0=np.zeros(3, dtype=np.float32))])

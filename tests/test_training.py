@@ -1,16 +1,29 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from f0synth.featureio import Dataset, Gender, Utterance, build_frame_table, write_csv
+from f0synth import training
+from f0synth.featureio import (
+    Dataset,
+    FrameTable,
+    Gender,
+    Utterance,
+    build_frame_table,
+    compute_norm_stats,
+    write_csv,
+)
 from f0synth.metrics import FrameCounts, pitch_error_counts
 from f0synth.model import ModelConfig, backward, forward, infer_f0, init_params, predict_f0
 from f0synth.synthgen import SynthSpec, generate_synthetic_dataset
 from f0synth.training import (
     HISTORY_COLUMNS,
+    EpochRecord,
     Gradients,
     OptimizerState,
     SchedulerState,
     TrainConfig,
+    TrainHistory,
     composite_loss,
     init_optimizer,
     nadam_step,
@@ -382,6 +395,20 @@ class TestTrainLoop:
         for a, b in zip((*p1.weights, *p1.biases), (*p2.weights, *p2.biases)):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_bits_equal_normalizing_whole_table_once(self, dropout):
+        # 1200 frames in batches of 512 end on a partial batch of 176.
+        got_params, got_history = self.run(max_epochs=3, dropout=dropout, batch_size=512)
+        train_ds, val_ds, _ = tiny_world()
+        model_config = ModelConfig(input_dim=6, hidden_sizes=[16, 8], dropout=dropout)
+        want_params, want_history = reference_train(
+            build_frame_table(train_ds), val_ds, model_config,
+            TrainConfig(max_epochs=3, seed=0, batch_size=512))
+        assert got_history.csv_rows() == want_history.csv_rows()
+        for a, b in zip((*got_params.weights, *got_params.biases),
+                        (*want_params.weights, *want_params.biases)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
     def test_history_csv_shape(self, tmp_path):
         _, history = self.run(max_epochs=2)
         path = write_csv(tmp_path / "history.csv", HISTORY_COLUMNS, history.csv_rows())
@@ -405,6 +432,47 @@ class TestTrainLoop:
             train(table, val_ds, mc, TrainConfig(max_epochs=1))
 
 
+def reference_train(table, val_ds, model_config, config):
+    """The training loop with the whole float64 table normalized once.
+
+    Validation runs one utterance at a time through ``predict_f0``.
+    """
+    table = FrameTable(table.rows.astype(np.float64), table.target_logf0, table.voiced)
+    params = init_params(model_config, config.seed)
+    params.norm = compute_norm_stats(table)
+    inputs = (table.rows - params.norm.input_mean) / params.norm.input_std
+    targets = np.where(table.voiced, params.norm.normalize_logf0(table.target_logf0), 0.0)
+    opt = init_optimizer(params)
+    sched = SchedulerState(current_lr=config.lr)
+    history, best = TrainHistory(), params.copy()
+    n = table.n_rows
+    for epoch in range(config.max_epochs):
+        lr = sched.current_lr
+        perm = np.random.default_rng(config.seed + epoch).permutation(n)
+        loss_sum = 0.0
+        for batch_idx, start in enumerate(range(0, n, config.batch_size)):
+            idx = perm[start:start + config.batch_size]
+            f0hat, g, cache = forward(params, inputs[idx], train_mode=True,
+                                      dropout=model_config.dropout,
+                                      dropout_seed=[config.seed, epoch, batch_idx])
+            loss, d_f0hat, d_g = composite_loss(f0hat, g, targets[idx], table.voiced[idx],
+                                                config.alpha)
+            params, opt = nadam_step(opt, params, backward(params, cache, d_f0hat, d_g), lr)
+            loss_sum += loss * len(idx)
+        counts = FrameCounts(0, 0, 0, 0, 0, 0)
+        for utt in val_ds.utterances:
+            counts = counts + pitch_error_counts(predict_f0(params, utt.features())[0], utt.f0)
+        metric = counts.accurately_processed
+        action = scheduler_update(sched, metric)
+        if sched.epochs_since_improve == 0:
+            best = params.copy()
+        history.records.append(EpochRecord(epoch + 1, loss_sum / n, metric, lr,
+                                           action if action != "continue" else "none"))
+        if action == "stop":
+            break
+    return best, history
+
+
 def uneven_validation_world():
     """Validation utterances cut to different lengths, some repeated."""
     _, val_ds, _ = tiny_world()
@@ -414,7 +482,9 @@ def uneven_validation_world():
 
 
 class TestValidationMetric:
-    def test_equals_pooled_per_utterance_predict_f0(self):
+    def test_equals_pooled_per_utterance_predict_f0(self, monkeypatch):
+        # Blocks of 100 rows cut through utterances of 150, 90 and 64 frames.
+        monkeypatch.setattr(training, "VALIDATION_BLOCK_ROWS", 100)
         train_ds, _, _ = tiny_world()
         table = build_frame_table(train_ds)
         val_ds = uneven_validation_world()
@@ -430,7 +500,9 @@ class TestValidationMetric:
             pooled = pooled + pitch_error_counts(pred, utt.f0)
         val = prepare_validation(params, val_ds)
         assert validation_metric(params, val) == pooled.accurately_processed
-        for rows, pred in zip(val.rows, preds):
+        ends = np.cumsum([u.n_frames for u in val_ds.utterances])
+        assert ends[-1] == len(val.rows)
+        for rows, pred in zip(np.split(val.rows, ends[:-1]), preds):
             assert np.array_equal(infer_f0(params, rows)[0].view(np.uint64),
                                   pred.view(np.uint64))
 
@@ -440,6 +512,28 @@ class TestValidationMetric:
                                    np.zeros(2))])
         with pytest.raises(ValueError, match="no frames"):
             prepare_validation(params, empty)
+
+
+class TestTrainingMemory:
+    def test_peak_below_one_and_a_half_float64_tables(self):
+        # 4 speakers per gender x 10 utterances x 500 frames = 40,000 frames.
+        spec = SynthSpec(n_speakers_per_gender=4, utts_per_speaker=10, frames_per_utt=500,
+                         seed=2)
+        train_ds, _ = generate_synthetic_dataset(spec, role="train")
+        table = build_frame_table(train_ds)
+        del train_ds
+        assert table.n_rows == 40_000
+        val_spec = SynthSpec(n_speakers_per_gender=1, utts_per_speaker=1, frames_per_utt=100)
+        val_ds, _ = generate_synthetic_dataset(val_spec, role="validation")
+        float64_table = table.n_rows * table.rows.shape[1] * 8
+        tracemalloc.start()
+        try:
+            train(table, val_ds, ModelConfig(input_dim=table.rows.shape[1], hidden_sizes=[16, 8]),
+                  TrainConfig(max_epochs=1, batch_size=256))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * float64_table, f"peak {peak / float64_table:.2f} float64 tables"
 
 
 class TestTrainConfig:
