@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from f0synth.featureio import Gender, load_manifest, write_dataset
+from f0synth.featureio import load_manifest, write_dataset
 from f0synth.synthgen import SynthSpec, generate_synthetic_dataset
 
 print("=== 1. Describe a world ===")
@@ -29,8 +29,8 @@ spec = SynthSpec(
     d_xv=8,
     seed=42,
 )
-print(f"base F0: female {spec.base_f0[Gender.F]:.0f} Hz, "
-      f"male {spec.base_f0[Gender.M]:.0f} Hz")
+print(f"base F0: female {spec.base_f0_female:.0f} Hz, "
+      f"male {spec.base_f0_male:.0f} Hz")
 print(f"{spec.n_speakers_per_gender} speakers per gender, "
       f"{spec.utts_per_speaker} utterances each, "
       f"{spec.frames_per_utt} frames per utterance")

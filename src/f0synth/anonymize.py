@@ -162,11 +162,13 @@ def select_pseudo_speaker(
             f"pool has {len(candidates)} {target.value} entries, need n={n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    ids, units = pool._units[target]
     source = np.asarray(source_xvec, dtype=np.float64)
+    if len(source) != units.shape[1]:
+        raise ValueError(f"xvec width {len(source)} != pool xvec width {units.shape[1]}")
     norm = np.linalg.norm(source)
     if norm == 0.0:
-        raise ValueError("cosine distance undefined for a zero source xvec")
-    ids, units = pool._units[target]
+        raise ValueError("zero-norm xvec")
     dists = 1.0 - units @ (source / norm)
     furthest = [candidates[i] for i in np.lexsort((ids, -dists))[:n]]
     rng = np.random.default_rng(seed)
@@ -262,7 +264,7 @@ def write_pool(pool: SpeakerPool, out_dir: str | Path) -> Path:
     rows = []
     for e in pool.entries:
         rel = f"pool_xvecs/{e.speaker_id}.xvec"
-        write_feature_file(out_dir / rel, e.xvec.astype(np.float32))
+        write_feature_file(out_dir / rel, e.xvec)
         rows.append([e.speaker_id, e.gender.value, rel, f"{e.f0_mean:.17g}", f"{e.f0_std:.17g}"])
     return write_csv(out_dir / "pool.csv", POOL_COLUMNS, rows)
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from . import anonymize as anon
@@ -61,8 +60,6 @@ from .training import HISTORY_COLUMNS, TrainConfig, train
 RHO_FLAG_THRESHOLD = 0.3
 
 ANON_LOG_COLUMNS = ("utt_id", "mode", "chosen_ids", "tgt_mean", "tgt_std")
-
-BASE_F0_KEYS = {Gender.F: "synth.base_f0_female", Gender.M: "synth.base_f0_male"}
 
 
 class ConfigError(ValueError):
@@ -111,7 +108,10 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return self.get_int("seed", TrainConfig.seed)
+        seed = self.get_int("seed", TrainConfig.seed)
+        if seed < 0:
+            raise ConfigError(f"config key 'seed': {seed} is not a non-negative integer")
+        return seed
 
     @property
     def out_dir(self) -> Path:
@@ -137,7 +137,7 @@ SECTION_FIELDS = {section: _keyed_fields(cls) for section, cls in SECTIONS.items
 
 KNOWN_KEYS = {f"{section}.{name}"
               for section, fields in SECTION_FIELDS.items() for name in fields} | {
-    "seed", "out_dir", *BASE_F0_KEYS.values(),
+    "seed", "out_dir",
     "train.manifest", "train.val_manifest",
     "eval.manifest", "eval.checkpoint", "eval.pred_manifest",
     "eval.dataset_name",
@@ -215,9 +215,7 @@ def load_matching_checkpoint(path: str, dataset: Dataset):
 
 def cmd_synthgen(config: RunConfig) -> dict:
     """Generate train/validation/test splits of one world, plus a pool file."""
-    default_f0 = SynthSpec().base_f0
-    base_f0 = {g: config.get_float(key, default_f0[g]) for g, key in BASE_F0_KEYS.items()}
-    spec = section_config(config, "synth", base_f0=base_f0, seed=config.seed)
+    spec = section_config(config, "synth", seed=config.seed)
     out_dir = config.out_dir
     manifests: dict[str, Path] = {}
     # One role is alive at a time: the pool keeps only per-speaker stats.
@@ -240,12 +238,12 @@ def cmd_train(config: RunConfig) -> dict:
     """Train on a manifest pair; write checkpoint.f0md and history.csv."""
     train_manifest = config.require("train.manifest")
     val_manifest = config.require("train.val_manifest")
-    # Settings, out_dir, then data: each fails before the next; no Dataset is kept.
+    # Settings, train table and model, out_dir, then validation data; no Dataset is kept.
     train_config = section_config(config, "train", seed=config.seed)
     out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     table = build_frame_table(load_manifest(train_manifest))
     model_config = section_config(config, "model", input_dim=table.rows.shape[1])
+    out_dir.mkdir(parents=True, exist_ok=True)
     params, history = train(table, load_manifest(val_manifest), model_config, train_config)
     checkpoint = out_dir / "checkpoint.f0md"
     save_checkpoint(checkpoint, params, dropout=model_config.dropout)
@@ -266,26 +264,28 @@ def cmd_eval(config: RunConfig) -> dict:
     the model on each utterance's features) or ``eval.pred_manifest``
     (compare stored trajectories utterance by utterance).
     """
-    truth_ds = load_manifest(config.require("eval.manifest"))
+    truth_manifest = config.require("eval.manifest")
     checkpoint = config.get("eval.checkpoint")
     pred_manifest = config.get("eval.pred_manifest")
     if (checkpoint is None) == (pred_manifest is None):
         raise ConfigError(
             "set exactly one of eval.checkpoint or eval.pred_manifest")
-    truth = {u.utt_id: u.f0.astype(np.float64) for u in truth_ds.utterances}
+    dataset_name = config.get("eval.dataset_name", "test")
+    out_dir = config.out_dir
+    truth_ds = load_manifest(truth_manifest)
+    truth = {u.utt_id: u.f0 for u in truth_ds.utterances}
     if checkpoint is not None:
         params = load_matching_checkpoint(checkpoint, truth_ds)
         pred = {u.utt_id: predict_f0(params, u.features())[0]
                 for u in truth_ds.utterances}
     else:
         pred_ds = load_manifest(pred_manifest)
-        pred = {u.utt_id: u.f0.astype(np.float64) for u in pred_ds.utterances}
+        pred = {u.utt_id: u.f0 for u in pred_ds.utterances}
         missing, extra = sorted(truth.keys() - pred.keys()), sorted(pred.keys() - truth.keys())
         if missing or extra:
             raise ValueError(f"{pred_manifest}: utt_ids differ from the truth manifest "
                              f"(missing {missing[:5]}, extra {extra[:5]})")
 
-    dataset_name = config.get("eval.dataset_name", "test")
     groups: list[tuple[str, set[str]]] = []
     for gender in (Gender.F, Gender.M):
         ids = {u.utt_id for u in truth_ds.utterances if u.gender is gender}
@@ -300,7 +300,7 @@ def cmd_eval(config: RunConfig) -> dict:
                                      {k: truth[k] for k in ids})
         reports[sex] = report
         rows.append(report_csv_row(dataset_name, sex, report))
-    metrics_path = write_csv(config.out_dir / "metrics.csv", REPORT_COLUMNS, rows)
+    metrics_path = write_csv(out_dir / "metrics.csv", REPORT_COLUMNS, rows)
     click.echo(metrics_path.read_text(encoding="utf-8"), nl=False)
     click.echo(f"metrics: {metrics_path}")
     return {"metrics": metrics_path, "reports": reports}
@@ -315,42 +315,33 @@ def cmd_anonymize(config: RunConfig) -> dict:
     the chosen pool members and target stats; the original-vs-output
     pitch correlation is checked against the 0.3 floor.
     """
-    sources = load_manifest(config.require("anonymize.manifest"))
+    manifest = config.require("anonymize.manifest")
     pool_path = config.require("anonymize.pool")
-    pool = anon.load_pool(pool_path)
     method = config.get("anonymize.method", "synthesis")
     if method not in ("synthesis", "shift_scale"):
-        raise ConfigError(f"anonymize.method must be synthesis or shift_scale, "
-                          f"got {method!r}")
+        raise ConfigError(f"anonymize.method must be synthesis or shift_scale, got {method!r}")
+    checkpoint = config.require("anonymize.checkpoint") if method == "synthesis" else None
     mode = anon.ContrastiveMode.parse(config.get("anonymize.mode", "Ours"))
     gender_mode = config.get("anonymize.gender_mode", anon.DEFAULT_GENDER_MODE)
     n = config.get_int("anonymize.n", anon.DEFAULT_N_FURTHEST)
     k = config.get_int("anonymize.k", anon.DEFAULT_K_AVERAGED)
-    if gender_mode not in anon.GENDER_MODES:
-        raise ConfigError(f"anonymize.gender_mode must be one of {anon.GENDER_MODES}, "
-                          f"got {gender_mode!r}")
-    if not 1 <= k <= n:
-        raise ConfigError(f"anonymize.k must satisfy 1 <= k <= anonymize.n, "
-                          f"got k={k}, n={n}")
-    for gender in {u.gender for u in sources.utterances}:
-        target = gender if gender_mode == "same" else gender.opposite
-        available = len(pool.of_gender(target))
-        if available < n:
-            raise ConfigError(f"anonymize.n: pool has {available} {target.value} "
-                              f"entries, need n={n}")
-    pool_width, source_width = len(pool.entries[0].xvec), len(sources.utterances[0].xvec)
-    if pool_width != source_width:
-        raise ValueError(f"{pool_path}: pool xvec width {pool_width} != "
-                         f"{source_width} of the manifest")
-    for utt in sources.utterances:
-        if np.linalg.norm(utt.xvec.astype(np.float64)) == 0.0:
-            raise ValueError(f"utterance {utt.utt_id!r}: zero-norm xvec")
+    seed = config.seed
+    out_dir = config.out_dir
 
-    params = (load_matching_checkpoint(config.require("anonymize.checkpoint"), sources)
-              if method == "synthesis" else None)
+    sources = load_manifest(manifest)
+    pool = anon.load_pool(pool_path)
+    # Every selection runs before out_dir is made: its checks leave no output behind.
+    pseudos = []
+    for i, utt in enumerate(sources.utterances):
+        try:
+            pseudo = anon.select_pseudo_speaker(pool, utt.xvec, utt.gender, n=n, k=k,
+                                                gender_mode=gender_mode, seed=[seed, i])
+        except ValueError as exc:
+            raise ValueError(f"utterance {utt.utt_id!r}: {exc}") from None
+        pseudos.append(pseudo)
+    params = load_matching_checkpoint(checkpoint, sources) if checkpoint is not None else None
     src_stats = anon.speaker_f0_stats(sources) if method == "shift_scale" else None
 
-    out_dir = config.out_dir
     f0_dir = out_dir / "f0_out"
     xvec_dir = out_dir / "xvec_out"
     f0_dir.mkdir(parents=True, exist_ok=True)
@@ -361,13 +352,8 @@ def cmd_anonymize(config: RunConfig) -> dict:
     flagged: list[str] = []
     synth_seconds = 0.0
     synth_frames = 0
-    seed = config.seed
-    for i, utt in enumerate(sources.utterances):
-        pseudo = anon.select_pseudo_speaker(
-            pool, utt.xvec, utt.gender, gender_mode=gender_mode,
-            n=n, k=k, seed=[seed, i])
-        synth_xvec, export_xvec = anon.assemble_synthesis_inputs(
-            mode, utt.xvec, pseudo)
+    for utt, pseudo in zip(sources.utterances, pseudos):
+        synth_xvec, export_xvec = anon.assemble_synthesis_inputs(mode, utt.xvec, pseudo)
         if method == "synthesis":
             features = assemble_features(synth_xvec, utt.bn)
             t0 = time.perf_counter()
@@ -376,9 +362,8 @@ def cmd_anonymize(config: RunConfig) -> dict:
             synth_frames += utt.n_frames
         else:
             f0_out = anon.shift_scale_f0(utt.f0, src_stats[utt.speaker_id], pseudo.stats)
-        write_feature_file(f0_dir / f"{utt.utt_id}.f0", f0_out.astype(np.float32))
-        write_feature_file(xvec_dir / f"{utt.utt_id}.xvec",
-                           np.asarray(export_xvec, dtype=np.float32))
+        write_feature_file(f0_dir / f"{utt.utt_id}.f0", f0_out)
+        write_feature_file(xvec_dir / f"{utt.utt_id}.xvec", export_xvec)
         rho = pitch_correlation(utt.f0, f0_out)
         rhos[utt.utt_id] = rho
         if rho is None or rho < RHO_FLAG_THRESHOLD:

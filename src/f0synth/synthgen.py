@@ -16,7 +16,7 @@ role's utterances at once.  A block holds up to ``WALK_BLOCK_VALUES``
 walk values, never fewer than one speaker's utterances, and may span
 speakers and genders.  Ground truth:
 
-    ln F0[t] = ln(base_f0[gender]) + weights . bn[t, :k]
+    ln F0[t] = ln(base_f0_<gender>) + weights . bn[t, :k]
     voiced[t] = bn[t, 1] > voicing_threshold
 
 with ``weights`` a seeded random vector scaled by ``weight_scale`` and
@@ -28,7 +28,7 @@ F0 files bit-exactly when noise is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,15 +51,11 @@ _STREAM_UTT_BASE = 2  # + role index
 DATASET_ROLES = ("train", "validation", "test")
 
 
-def _default_base_f0() -> dict[Gender, float]:
-    return {Gender.F: 190.0, Gender.M: 120.0}
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of the synthetic world.
 
-    ``base_f0`` maps gender to the gender's center F0 in Hz;
+    ``base_f0_female``/``base_f0_male`` are each gender's center F0 in Hz;
     ``weight_scale`` sets the log-F0 spread contributed by the content
     features; ``noise_std_cents`` adds observation noise to voiced
     frames (0 keeps the world exactly closed-form).
@@ -70,7 +66,8 @@ class SynthSpec:
     frames_per_utt: int = 200
     d_bn: int = 16
     d_xv: int = 8
-    base_f0: dict[Gender, float] = field(default_factory=_default_base_f0)
+    base_f0_female: float = 190.0
+    base_f0_male: float = 120.0
     weight_scale: float = 0.25
     voicing_threshold: float = 0.0
     noise_std_cents: float = 0.0
@@ -88,10 +85,10 @@ class SynthSpec:
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if set(self.base_f0) != {Gender.F, Gender.M}:
-            raise ValueError("base_f0 must map both genders")
-        if not all(0 < v < np.inf for v in self.base_f0.values()):
-            raise ValueError("base_f0 values must be positive and finite")
+        for name in ("base_f0_female", "base_f0_male"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.noise_std_cents < 0:
             raise ValueError("noise_std_cents must be non-negative")
 
@@ -135,7 +132,8 @@ def _make_mapping(spec: SynthSpec) -> GroundTruthMapping:
     k = min(MAX_ACTIVE_DIMS, spec.d_bn)
     raw = rng.standard_normal(k)
     weights = spec.weight_scale * raw / np.sqrt(k)
-    base = {g: float(np.log(spec.base_f0[g])) for g in (Gender.F, Gender.M)}
+    base = {Gender.F: float(np.log(spec.base_f0_female)),
+            Gender.M: float(np.log(spec.base_f0_male))}
     return GroundTruthMapping(base_logf0=base, weights=weights,
                               voicing_threshold=spec.voicing_threshold)
 

@@ -155,8 +155,12 @@ class TestSelectPseudoSpeaker:
         assert sorted(pseudo.chosen_ids) == ["e", "g", "z"]
 
     def test_zero_source_rejected(self):
-        with pytest.raises(ValueError, match="zero source xvec"):
+        with pytest.raises(ValueError, match="zero-norm xvec"):
             select_pseudo_speaker(toy_pool(), np.zeros(2), Gender.F, n=2, k=1)
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="xvec width 3 != pool xvec width 2"):
+            select_pseudo_speaker(toy_pool(), np.ones(3), Gender.F, n=2, k=1)
 
     def test_pseudo_in_convex_hull_of_members(self):
         rng = np.random.default_rng(13)

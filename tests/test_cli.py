@@ -92,6 +92,12 @@ def write_manifest(path: Path, rows: list[str]) -> Path:
     return path
 
 
+def gone_manifest(tmp_path: Path, world_dir: Path) -> Path:
+    """A copy of the test manifest in a directory that holds none of its feature files."""
+    return write_manifest(tmp_path / "gone" / "manifest.csv",
+                          (world_dir / "test" / "manifest.csv").read_text().splitlines())
+
+
 def tree_hash(root: Path) -> str:
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*")):
@@ -157,8 +163,7 @@ SECTION_CLASSES = {"synth": SynthSpec, "model": ModelConfig, "train": TrainConfi
 class TestConfigDefaults:
     def test_no_section_keys_gives_dataclass_defaults(self):
         config = RunConfig({"out_dir": "x"})
-        assert section_config(config, "synth", base_f0=SynthSpec().base_f0,
-                              seed=config.seed) == SynthSpec()
+        assert section_config(config, "synth", seed=config.seed) == SynthSpec()
         assert section_config(config, "model", input_dim=7) == ModelConfig(input_dim=7)
         assert section_config(config, "train", seed=config.seed) == TrainConfig()
 
@@ -252,6 +257,17 @@ class TestSynthgenCommand:
         assert f"error: {field}" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("synth.base_f0_female", "0"),
+                                            ("synth.base_f0_male", "nan")])
+    def test_bad_base_f0_fails_naming_field_before_writing(self, tmp_path, key, value):
+        out = tmp_path / "w"
+        result = CliRunner().invoke(main, ["synthgen", "--out-dir", str(out),
+                                           "--set", f"{key}={value}"])
+        assert result.exit_code == 1
+        assert f"error: {key.removeprefix('synth.')} must be positive and finite" \
+            in result.output
+        assert not out.exists()
+
     def test_cli_exit_zero_on_success(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, [
@@ -322,9 +338,7 @@ class TestTrainCommand:
 
         monkeypatch.setattr("f0synth.cli.train", must_not_train)
         # Feature files that do not exist: the setting must fail before any is read.
-        manifest = write_manifest(tmp_path / "gone" / "manifest.csv",
-                                  (world_dir / "train" / "manifest.csv").read_text()
-                                  .splitlines())
+        manifest = gone_manifest(tmp_path, world_dir)
         out = tmp_path / "out"
         result = CliRunner().invoke(main, [
             "train", "--out-dir", str(out),
@@ -334,6 +348,20 @@ class TestTrainCommand:
         assert result.exit_code == 1
         assert f"error: {key.removeprefix('train.')} must be positive and finite" \
             in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("model.hidden_sizes", "0", "hidden_sizes must be"),
+        ("train.manifest", "none.csv", "No such file"),
+    ], ids=["model_key", "missing_manifest"])
+    def test_bad_model_key_or_train_manifest_fails_before_out_dir(
+            self, tmp_path, world_dir, key, value, error):
+        out = tmp_path / "out"
+        with pytest.raises((ValueError, OSError), match=error):
+            cmd_train(config_for(
+                out, **{"train.manifest": world_dir / "train" / "manifest.csv",
+                        "train.val_manifest": world_dir / "validation" / "manifest.csv",
+                        key: tmp_path / value if key == "train.manifest" else value}))
         assert not out.exists()
 
     def test_empty_val_manifest_named(self, tmp_path, world_dir):
@@ -396,6 +424,21 @@ class TestEvalCommand:
                 **{"eval.manifest": manifest,
                    "eval.pred_manifest": manifest,
                    "eval.checkpoint": trained_dir / "checkpoint.f0md"}))
+
+    @pytest.mark.parametrize("keys, words", [
+        (("eval.pred_manifest",), "missing required config key 'out_dir'"),
+        (("out_dir",), "exactly one"),
+        (("out_dir", "eval.pred_manifest", "eval.checkpoint"), "exactly one"),
+    ], ids=["no_out_dir", "no_source", "two_sources"])
+    def test_settings_fail_before_data_is_read(self, tmp_path, world_dir, trained_dir,
+                                               keys, words):
+        # Feature files that do not exist: the setting must fail before any is read.
+        manifest = gone_manifest(tmp_path, world_dir)
+        optional = {"out_dir": tmp_path / "out", "eval.pred_manifest": manifest,
+                    "eval.checkpoint": trained_dir / "checkpoint.f0md"}
+        values = {"eval.manifest": manifest, **{key: optional[key] for key in keys}}
+        with pytest.raises(ConfigError, match=words):
+            cmd_eval(RunConfig({key: str(value) for key, value in values.items()}))
 
     @pytest.mark.parametrize("kept, extra_rows", [(2, 0), (None, 2)],
                              ids=["missing", "extra"])
@@ -589,11 +632,54 @@ class TestAnonymizeCommand:
         ("anonymize.k", 3),
     ])
     def test_bad_selection_key_fails_before_writing(self, tmp_path, world_dir, key, value):
+        # The selection rejects gender_mode, n and k on the first utterance,
+        # naming the setting; a removed key is rejected as unknown.
+        first = load_manifest(world_dir / "test" / "manifest.csv").utterances[0].utt_id
+        words = {"anonymize.gender_mode": "gender_mode must be 'same' or 'opposite'",
+                 "anonymize.n": "pool has 3 F entries, need n=50",
+                 "anonymize.k": "k must satisfy 1 <= k <= n"}
         out = tmp_path / "anon"
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ValueError, match=re.escape(f"utterance '{first}': {words[key]}")
+                           if key in words else key):
             cmd_anonymize(anon_config(out, world_dir, None,
                                       **{"anonymize.method": "shift_scale", key: value}))
         assert not out.exists()
+
+    def test_pool_short_of_one_gender_fails_naming_its_first_utterance(self, tmp_path,
+                                                                       world_dir):
+        pool = load_pool(world_dir / "pool.csv")
+        short = SpeakerPool(tuple(e for e in pool.entries
+                                  if e.speaker_id[0] == "F" or e.speaker_id == "M000"))
+        pool_path = write_pool(short, tmp_path / "short")
+        first_m = next(u.utt_id for u in load_manifest(world_dir / "test" / "manifest.csv")
+                       .utterances if u.speaker_id[0] == "M")
+        out = tmp_path / "anon"
+        with pytest.raises(ValueError, match=re.escape(
+                f"utterance '{first_m}': pool has 1 M entries, need n=2")):
+            cmd_anonymize(anon_config(out, world_dir, None,
+                                      **{"anonymize.method": "shift_scale",
+                                         "anonymize.pool": pool_path}))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, words", [
+        ("anonymize.method", "vocoder", "anonymize.method must be"),
+        ("anonymize.mode", "C9", "unknown contrastive mode"),
+        ("anonymize.n", "many", "'anonymize.n'"),
+        ("anonymize.k", "1.5", "'anonymize.k'"),
+        ("anonymize.checkpoint", None, "'anonymize.checkpoint'"),
+        ("out_dir", None, "'out_dir'"),
+    ], ids=["method", "mode", "n", "k", "no_checkpoint", "no_out_dir"])
+    def test_settings_fail_before_data_is_read(self, tmp_path, world_dir, trained_dir,
+                                               key, value, words):
+        # Feature files that do not exist: the setting must fail before any is read.
+        values = anon_config(tmp_path / "anon", world_dir, trained_dir, **{
+            "anonymize.manifest": gone_manifest(tmp_path, world_dir)}).values
+        if value is None:
+            del values[key]
+        else:
+            values[key] = value
+        with pytest.raises(ValueError, match=words):
+            cmd_anonymize(RunConfig(values))
 
     def test_pool_width_mismatch_fails_before_writing(self, tmp_path, world_dir):
         pool = load_pool(world_dir / "pool.csv")
@@ -601,7 +687,9 @@ class TestAnonymizeCommand:
                                  for e in pool.entries))
         pool_path = write_pool(wide, tmp_path / "wide")
         out = tmp_path / "anon"
-        with pytest.raises(ValueError, match="pool xvec width 5 != 3"):
+        first = load_manifest(world_dir / "test" / "manifest.csv").utterances[0].utt_id
+        with pytest.raises(ValueError, match=re.escape(
+                f"utterance '{first}': xvec width 3 != pool xvec width 5")):
             cmd_anonymize(anon_config(out, world_dir, None,
                                       **{"anonymize.method": "shift_scale",
                                          "anonymize.pool": pool_path}))
@@ -632,6 +720,10 @@ class TestAnonymizeCommand:
             with pytest.raises(ConfigError, match=f"unknown config keys.*{key}"):
                 anon_config(tmp_path, world_dir, trained_dir, **{key: value})
 
+    def test_zero_source_xvec_on_last_utterance_fails_before_writing(self, tmp_path,
+                                                                     world_dir):
+        zero_xvec_fails_before_writing(tmp_path, world_dir, row=-1)
+
     def test_escaping_utt_id_rejected(self, tmp_path, world_dir):
         rows = absolute_rows(world_dir / "test" / "manifest.csv")
         rows[1] = "../../escaped" + rows[1][rows[1].index(","):]
@@ -646,19 +738,24 @@ class TestAnonymizeCommand:
 
 
     def test_zero_source_xvec_fails_before_writing(self, tmp_path, world_dir):
-        rows = absolute_rows(world_dir / "test" / "manifest.csv")
-        zero = tmp_path / "zero.xvec"
-        write_feature_file(zero, np.zeros(3, dtype=np.float32))
-        fields = rows[4].split(",")
-        rows[4] = ",".join([*fields[:5], str(zero)])
-        manifest = write_manifest(tmp_path / "in" / "manifest.csv", rows)
-        out = tmp_path / "anon"
-        with pytest.raises(ValueError, match=f"utterance '{fields[0]}': zero-norm xvec"):
-            cmd_anonymize(anon_config(out, world_dir, None,
-                                      **{"anonymize.manifest": manifest,
-                                         "anonymize.method": "shift_scale",
-                                         "anonymize.k": 1}))
-        assert not out.exists()
+        zero_xvec_fails_before_writing(tmp_path, world_dir, row=4)
+
+
+def zero_xvec_fails_before_writing(tmp_path, world_dir, row):
+    """Give one manifest row a zero x-vector; anonymize must name it and write nothing."""
+    rows = absolute_rows(world_dir / "test" / "manifest.csv")
+    zero = tmp_path / "zero.xvec"
+    write_feature_file(zero, np.zeros(3, dtype=np.float32))
+    fields = rows[row].split(",")
+    rows[row] = ",".join([*fields[:5], str(zero)])
+    manifest = write_manifest(tmp_path / "in" / "manifest.csv", rows)
+    out = tmp_path / "anon"
+    with pytest.raises(ValueError, match=f"utterance '{fields[0]}': zero-norm xvec"):
+        cmd_anonymize(anon_config(out, world_dir, None,
+                                  **{"anonymize.manifest": manifest,
+                                     "anonymize.method": "shift_scale",
+                                     "anonymize.k": 1}))
+    assert not out.exists()
 
 
 class TestCsvOutputs:
@@ -704,6 +801,24 @@ class TestCliEntrypoints:
         result = CliRunner().invoke(main, ["--version"])
         assert result.exit_code == 0, result.output
         assert "version 0.1.0" in result.output
+
+    @pytest.mark.parametrize("command", ["synthgen", "train", "anonymize"])
+    def test_negative_seed_fails_naming_key_before_writing(self, tmp_path, world_dir,
+                                                           command):
+        # Feature files that do not exist: the seed must fail before any is read.
+        manifest = gone_manifest(tmp_path, world_dir)
+        keys = {"synthgen": [],
+                "train": [f"train.manifest={manifest}", f"train.val_manifest={manifest}"],
+                "anonymize": [f"anonymize.manifest={manifest}", "anonymize.method=shift_scale",
+                              f"anonymize.pool={world_dir / 'pool.csv'}"]}
+        out = tmp_path / "out"
+        args = [command, "--seed", "-1", "--out-dir", str(out)]
+        for item in keys[command]:
+            args += ["--set", item]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert "error: config key 'seed': -1 is not a non-negative integer" in result.output
+        assert not out.exists()
 
     def test_unknown_key_via_set_fails(self, tmp_path):
         runner = CliRunner()

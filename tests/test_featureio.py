@@ -64,6 +64,13 @@ class TestFeatureFile:
         first_row = np.frombuffer(raw[20:20 + 28], dtype="<f4")
         assert np.array_equal(first_row, values[0])
 
+    @pytest.mark.parametrize("shape", [(257,), (5, 7)])
+    def test_float64_written_as_its_float32_cast(self, tmp_path, shape):
+        values = np.random.default_rng(13).standard_normal(shape) * 300.0
+        write_feature_file(tmp_path / "wide", values)
+        write_feature_file(tmp_path / "cast", values.astype(np.float32))
+        assert (tmp_path / "wide").read_bytes() == (tmp_path / "cast").read_bytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.f0"
         p.write_bytes(b"XXXX" + b"\x00" * 16)

@@ -74,10 +74,10 @@ class TestSynthSpec:
         dict(frames_per_utt=0),
         dict(d_bn=1),
         dict(d_xv=0),
-        dict(base_f0={Gender.F: 190.0, Gender.M: -1.0}),
+        dict(base_f0_male=-1.0),
         dict(noise_std_cents=-0.5),
-        dict(base_f0={Gender.F: 190.0, Gender.M: np.nan}),
-        dict(base_f0={Gender.F: np.inf, Gender.M: 120.0}),
+        dict(base_f0_male=np.nan),
+        dict(base_f0_female=np.inf),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -88,6 +88,17 @@ class TestSynthSpec:
     def test_non_finite_float_rejected_by_name(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SynthSpec(**{name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+    @pytest.mark.parametrize("name", ["base_f0_female", "base_f0_male"])
+    def test_base_f0_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            SynthSpec(**{name: value})
+
+    def test_base_f0_sets_each_gender_center(self):
+        spec = SynthSpec(base_f0_female=220.0, base_f0_male=100.0, d_bn=2, d_xv=1)
+        mapping = generate_synthetic_dataset(spec)[1]
+        assert mapping.base_logf0 == {Gender.F: np.log(220.0), Gender.M: np.log(100.0)}
 
 
 class TestGeneration:
