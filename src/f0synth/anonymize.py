@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .featureio import (Dataset, FormatError, Gender, at_row, check_id, read_csv,
-                        read_feature_file, write_csv, write_feature_file)
+from .featureio import (Dataset, Gender, at_row, check_id, read_csv, read_feature_file,
+                        write_csv, write_feature_file)
 
 POOL_COLUMNS = ("speaker_id", "gender", "xvec_path", "f0_mean", "f0_std")
 DEFAULT_N_FURTHEST = 200
@@ -65,9 +65,9 @@ class PoolEntry:
             raise ValueError(f"pool entry {self.speaker_id!r}: non-finite xvec")
         if np.linalg.norm(self.xvec) == 0.0:
             raise ValueError(f"pool entry {self.speaker_id!r}: zero-norm xvec")
-        if not (self.f0_mean > 0 and self.f0_std > 0):
+        if not (0 < self.f0_mean < np.inf and 0 < self.f0_std < np.inf):
             raise ValueError(
-                f"pool entry {self.speaker_id!r}: f0 stats must be positive "
+                f"pool entry {self.speaker_id!r}: f0 stats must be positive and finite "
                 f"(got mean={self.f0_mean}, std={self.f0_std})")
 
 
@@ -78,8 +78,7 @@ class SpeakerPool:
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_by_id", {e.speaker_id: e for e in entries})
-        if len(self._by_id) != len(entries):
+        if len({e.speaker_id for e in entries}) != len(entries):
             raise ValueError("pool speaker_ids must be unique")
         dims = {len(e.xvec) for e in entries}
         if len(dims) > 1:
@@ -87,12 +86,6 @@ class SpeakerPool:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __getitem__(self, speaker_id: str) -> PoolEntry:
-        try:
-            return self._by_id[speaker_id]
-        except KeyError:
-            raise KeyError(f"unknown pool speaker {speaker_id!r}") from None
 
     def of_gender(self, gender: Gender) -> list[PoolEntry]:
         return [e for e in self.entries if e.gender is gender]
@@ -272,18 +265,14 @@ def write_pool(pool: SpeakerPool, out_dir: str | Path) -> Path:
 def load_pool(path: str | Path) -> SpeakerPool:
     """Read a pool CSV; relative xvec paths resolve against its directory.
 
-    An error in a row names it as ``path:lineno``.
+    An error names its row as ``path:lineno``, or ``path`` if it spans rows.
     """
     entries = []
-    for where, fields in read_csv(Path(path), POOL_COLUMNS, ("xvec_path",)):
-        speaker_id, gender_tok, xvec_path, mean_tok, std_tok = fields
+    rows = read_csv(Path(path), POOL_COLUMNS, ("xvec_path",))
+    for where, (speaker_id, gender_tok, xvec_path, mean_tok, std_tok) in rows:
         with at_row(where):
-            xvec = read_feature_file(xvec_path)
-            try:
-                mean, std = float(mean_tok), float(std_tok)
-            except ValueError:
-                raise FormatError("bad f0 stats") from None
-            entries.append(PoolEntry(speaker_id=speaker_id,
-                                     gender=Gender.parse(gender_tok),
-                                     xvec=xvec, f0_mean=mean, f0_std=std))
-    return SpeakerPool(tuple(entries))
+            entries.append(PoolEntry(speaker_id, Gender.parse(gender_tok),
+                                     read_feature_file(xvec_path),
+                                     float(mean_tok), float(std_tok)))
+    with at_row(path):
+        return SpeakerPool(tuple(entries))

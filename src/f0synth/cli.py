@@ -41,7 +41,9 @@ from .featureio import (
     Gender,
     assemble_features,
     build_frame_table,
+    is_csv_field,
     load_manifest,
+    read_text,
     write_csv,
     write_dataset,
     write_feature_file,
@@ -185,7 +187,7 @@ def build_config(
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        values.update(parse_config_text(path.read_text(encoding="utf-8"), str(path)))
+        values.update(parse_config_text(read_text(path), str(path)))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
@@ -271,6 +273,8 @@ def cmd_eval(config: RunConfig) -> dict:
         raise ConfigError(
             "set exactly one of eval.checkpoint or eval.pred_manifest")
     dataset_name = config.get("eval.dataset_name", "test")
+    if not is_csv_field(dataset_name):
+        raise ConfigError(f"eval.dataset_name {dataset_name!r} is not one CSV field")
     out_dir = config.out_dir
     truth_ds = load_manifest(truth_manifest)
     truth = {u.utt_id: u.f0 for u in truth_ds.utterances}

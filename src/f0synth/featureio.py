@@ -20,8 +20,9 @@ Manifest format: CSV with header
 ``utt_id,speaker_id,gender,f0_path,bn_path,xvec_path``; relative paths
 are resolved against the manifest's directory.  Ids must pass ``check_id``.
 Every CSV the package writes goes through ``write_csv`` and reads back
-through ``read_csv``; neither quotes, so no field holds ``,`` or a line break.
-The reader strips fields, so none starts or ends with a space either.
+through ``read_csv``; neither quotes, and the reader strips fields, so every
+field passes ``is_csv_field``.  A reader's error names its file, and the
+line for a CSV (``at_row``).
 """
 
 from __future__ import annotations
@@ -48,11 +49,28 @@ class FormatError(ValueError):
     """A feature file, manifest, or checkpoint does not decode cleanly."""
 
 
+@contextmanager
+def at_row(where: str | Path):
+    """Name ``where`` (a file, or ``file:line``) in a reader's failure: a ValueError
+    becomes a FormatError, and a missing file that it refers to a FileNotFoundError."""
+    try:
+        yield
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise FileNotFoundError(f"{where}: missing feature file {exc.filename}") from exc
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def is_csv_field(value: str) -> bool:
+    """True if ``read_csv``, which splits lines and strips fields, reads ``value`` back."""
+    return "," not in value and value == value.strip() and len(value.splitlines()) <= 1
+
+
 def check_id(kind: str, value: str) -> None:
     """Reject an id that cannot be one CSV field and one file name."""
-    if not value or any(c in value for c in "/\\,\n\r"):
+    if not value or "/" in value or "\\" in value or not is_csv_field(value):
         raise ValueError(f"{kind} {value!r} must be non-empty and contain no "
-                         f"'/', '\\', ',' or line break")
+                         f"'/', '\\', ',', line break or outer space")
 
 
 class Gender(Enum):
@@ -229,6 +247,13 @@ def read_feature_file(path: str | Path) -> np.ndarray:
 # CSV files and manifests
 # ---------------------------------------------------------------------------
 
+def read_text(path: Path) -> str:
+    """A UTF-8 text file's contents; a byte that does not decode names the file."""
+    data = path.read_bytes()
+    with at_row(path):
+        return data.decode("utf-8")
+
+
 def read_csv(path: Path, columns: tuple[str, ...],
              path_columns: tuple[str, ...] = ()):
     """Yield ``(location, fields)`` for each non-blank row of an unquoted CSV.
@@ -237,7 +262,7 @@ def read_csv(path: Path, columns: tuple[str, ...],
     ones named in ``path_columns`` become Paths, relative ones resolved
     against the CSV's directory.  ``location`` is ``path:lineno``.
     """
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or tuple(lines[0].strip().split(",")) != columns:
         raise FormatError(f"{path}: header must be {','.join(columns)}")
     path_index = [columns.index(c) for c in path_columns]
@@ -256,31 +281,19 @@ def read_csv(path: Path, columns: tuple[str, ...],
 def write_csv(path: str | Path, columns: tuple[str, ...], rows) -> Path:
     """Write the header and one comma-joined line per row; ``read_csv`` inverse.
 
-    A row of the wrong width, or a field holding ``,`` or a line break or
-    one ``read_csv`` would strip, raises before the file or its directory
-    is made.  Returns ``path``.
+    A row of the wrong width, or a field that fails ``is_csv_field``,
+    raises before the file or its directory is made.  Returns ``path``.
     """
     path = Path(path)
     lines = [",".join(columns)]
     for row in rows:
-        line = ",".join(row)
-        if (len(row) != len(columns) or line.count(",") != len(columns) - 1
-                or "\n" in line or "\r" in line or any(f != f.strip() for f in row)):
+        if len(row) != len(columns) or not all(map(is_csv_field, row)):
             raise ValueError(f"{path}: row {row} is not {len(columns)} fields free of "
                              f"',', line breaks and outer spaces, not written")
-        lines.append(line)
+        lines.append(",".join(row))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
-
-
-@contextmanager
-def at_row(where: str):
-    """Re-raise a ValueError from one CSV row as a FormatError that names the row."""
-    try:
-        yield
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
 
 
 def load_manifest(path: str | Path) -> Dataset:
@@ -299,13 +312,8 @@ def load_manifest(path: str | Path) -> Dataset:
             if utt_id in seen:
                 raise ValueError(f"duplicate utt_id {utt_id!r}")
             seen.add(utt_id)
-            gender = Gender.parse(gender_tok)
-            try:
-                f0, bn, xvec = (read_feature_file(p) for p in paths)
-            except (FileNotFoundError, IsADirectoryError) as exc:
-                raise FileNotFoundError(
-                    f"{where}: missing feature file {exc.filename}") from exc
-            utt = Utterance(utt_id, speaker_id, gender, f0, bn, xvec)
+            utt = Utterance(utt_id, speaker_id, Gender.parse(gender_tok),
+                            *(read_feature_file(p) for p in paths))
             first = utterances[0] if utterances else utt
             for name, got, want in (("bn", utt.bn.shape[1], first.bn.shape[1]),
                                     ("xvec", len(utt.xvec), len(first.xvec))):
@@ -383,8 +391,8 @@ class NormStats:
     """Input and log-F0 normalization statistics.
 
     Input statistics are computed over all rows; log-F0 statistics over
-    voiced rows only.  Standard deviations are floored at ``STD_FLOOR``
-    so they are always safe divisors.
+    voiced rows only.  All are finite, and standard deviations are floored
+    at ``STD_FLOOR`` so they are always safe divisors.
     """
 
     input_mean: np.ndarray
@@ -395,8 +403,10 @@ class NormStats:
     def __post_init__(self) -> None:
         self.input_mean = np.asarray(self.input_mean, dtype=np.float64)
         self.input_std = np.asarray(self.input_std, dtype=np.float64)
-        if (self.input_std < STD_FLOOR).any() or self.logf0_std < STD_FLOOR:
-            raise ValueError(f"normalization stds must be >= {STD_FLOOR}")
+        stds = np.append(self.input_std, self.logf0_std)
+        if not (np.isfinite(np.append(self.input_mean, self.logf0_mean)).all()
+                and ((STD_FLOOR <= stds) & (stds < np.inf)).all()):
+            raise ValueError(f"normalization stats must be finite, with stds >= {STD_FLOOR}")
 
     @classmethod
     def identity(cls, dim: int) -> "NormStats":

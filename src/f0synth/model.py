@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .featureio import FormatError, NormStats, pack_header, require_bytes, unpack_header
+from .featureio import (FormatError, NormStats, at_row, pack_header, require_bytes,
+                        unpack_header)
 
 CHECKPOINT_MAGIC = b"F0MD"
 CHECKPOINT_VERSION = 1
@@ -319,10 +320,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig]:
         raise FormatError(f"{path}: trailing bytes after payload")
     if dims[-1] != OUTPUT_UNITS:
         raise FormatError(f"{path}: output layer width {dims[-1]} != {OUTPUT_UNITS}")
-    try:
+    with at_row(path):
         norm = NormStats(input_mean, input_std, float(logf0_mean), float(logf0_std))
-        params = ModelParams(weights, biases, norm)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    config = ModelConfig(input_dim=input_dim, hidden_sizes=dims[:-1], dropout=dropout)
-    return params, config
+        return (ModelParams(weights, biases, norm),
+                ModelConfig(input_dim=input_dim, hidden_sizes=dims[:-1], dropout=dropout))

@@ -180,12 +180,10 @@ def nadam_step(
 
 @dataclass
 class SchedulerState:
-    """Plateau tracker; ``current_lr`` is the live learning rate."""
+    """Plateau tracker; ``current_lr`` is the live learning rate, ``config`` the settings."""
 
     current_lr: float
-    patience_lr: int = TrainConfig.patience_lr
-    lr_factor: float = TrainConfig.lr_factor
-    patience_stop: int = TrainConfig.patience_stop
+    config: TrainConfig = TrainConfig()
     best_metric: float = -np.inf
     epochs_since_improve: int = 0
     stopped: bool = False
@@ -202,11 +200,11 @@ def scheduler_update(state: SchedulerState, epoch_metric: float) -> str:
         state.epochs_since_improve = 0
         return "continue"
     state.epochs_since_improve += 1
-    if state.epochs_since_improve >= state.patience_stop:
+    if state.epochs_since_improve >= state.config.patience_stop:
         state.stopped = True
         return "stop"
-    if state.epochs_since_improve == state.patience_lr:
-        state.current_lr *= state.lr_factor
+    if state.epochs_since_improve == state.config.patience_lr:
+        state.current_lr *= state.config.lr_factor
         return "reduce_lr"
     return "continue"
 
@@ -302,12 +300,7 @@ def train(
     del val_dataset
 
     opt = init_optimizer(params)
-    sched = SchedulerState(
-        current_lr=train_config.lr,
-        patience_lr=train_config.patience_lr,
-        lr_factor=train_config.lr_factor,
-        patience_stop=train_config.patience_stop,
-    )
+    sched = SchedulerState(train_config.lr, train_config)
     history = TrainHistory()
     best_params = params.copy()
     n = train_table.n_rows

@@ -383,7 +383,8 @@ def test_criterion_06_pool_selection_brute_force():
         p2 = select_pseudo_speaker(pool, source_xvec, source_gender,
                                    gender_mode=gender_mode,
                                    n=n, k=k, seed=[9, case])
-        chosen = [pool[i] for i in p1.chosen_ids]
+        by_id = {e.speaker_id: e for e in pool.entries}
+        chosen = [by_id[i] for i in p1.chosen_ids]
         mean_xvec = np.mean([m.xvec for m in chosen], axis=0)
         ok = (set(p1.chosen_ids) <= want_ids
               and all(m.gender is target for m in chosen)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,11 @@ class TestPoolTypes:
         with pytest.raises(ValueError, match="positive"):
             entry("x", Gender.F, [1.0], mean=-3.0)
 
+    @pytest.mark.parametrize("bad", [" a", "a ", "a,b", "a/b"])
+    def test_entry_rejects_id_unfit_for_csv(self, bad):
+        with pytest.raises(ValueError, match="speaker_id"):
+            entry(bad, Gender.F, [1.0])
+
     def test_pool_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="unique"):
             SpeakerPool((entry("a", Gender.F, [1.0]), entry("a", Gender.M, [2.0])))
@@ -66,11 +73,8 @@ class TestPoolTypes:
         with pytest.raises(ValueError, match="dimension"):
             SpeakerPool((entry("a", Gender.F, [1.0]), entry("b", Gender.F, [1.0, 2.0])))
 
-    def test_lookup_and_gender_filter(self):
+    def test_gender_filter(self):
         pool = toy_pool()
-        assert pool["b"].f0_mean == 200.0
-        with pytest.raises(KeyError, match="unknown pool speaker 'zz'"):
-            pool["zz"]
         assert len(pool.of_gender(Gender.F)) == 3
         assert pool.of_gender(Gender.M) == []
 
@@ -167,7 +171,8 @@ class TestSelectPseudoSpeaker:
         pool = random_pool(rng, 15, 0)
         pseudo = select_pseudo_speaker(pool, rng.normal(size=6), Gender.F,
                                        n=8, k=4, seed=2)
-        members = np.array([pool[cid].xvec for cid in pseudo.chosen_ids])
+        by_id = {e.speaker_id: e for e in pool.entries}
+        members = np.array([by_id[cid].xvec for cid in pseudo.chosen_ids])
         assert (pseudo.xvec >= members.min(axis=0) - 1e-12).all()
         assert (pseudo.xvec <= members.max(axis=0) + 1e-12).all()
 
@@ -218,10 +223,12 @@ class TestSpeakerStats:
         ])
         pool = pool_from_dataset(ds)
         assert len(pool) == 2
-        assert pool["s0"].gender is Gender.F
-        assert pool["s0"].f0_mean == 150.0
-        assert pool["s1"].f0_std == 10.0
-        assert pool["s1"].xvec.tolist() == [-1.0, 0.0]
+        s0, s1 = pool.entries
+        assert (s0.speaker_id, s1.speaker_id) == ("s0", "s1")
+        assert s0.gender is Gender.F
+        assert s0.f0_mean == 150.0
+        assert s1.f0_std == 10.0
+        assert s1.xvec.tolist() == [-1.0, 0.0]
 
 
 class TestPseudoTargetStats:
@@ -324,8 +331,8 @@ class TestPoolFile:
         path = write_pool(pool, tmp_path)
         back = load_pool(path)
         assert len(back) == 5
-        for e in pool.entries:
-            b = back[e.speaker_id]
+        for e, b in zip(pool.entries, back.entries, strict=True):
+            assert b.speaker_id == e.speaker_id
             assert b.gender is e.gender
             assert b.f0_mean == pytest.approx(e.f0_mean, rel=1e-15)
             assert np.allclose(b.xvec, e.xvec, atol=1e-6)  # float32 storage
@@ -358,16 +365,31 @@ class TestPoolFile:
         path = write_pool(pool, tmp_path)
         text = path.read_text().replace("100,", "oops,", 1)
         path.write_text(text)
-        with pytest.raises((FormatError, ValueError)):
+        with pytest.raises(FormatError, match=f"pool.csv:2: .*'oops'"):
+            load_pool(path)
+
+    def test_missing_xvec_names_pool_line(self, tmp_path):
+        path = write_pool(toy_pool(), tmp_path)
+        xvec = tmp_path / "pool_xvecs" / "b.xvec"
+        xvec.unlink()
+        with pytest.raises(FileNotFoundError,
+                           match=re.escape(f"{path}:3: missing feature file {xvec}")):
+            load_pool(path)
+
+    def test_duplicate_speaker_names_pool_file(self, tmp_path):
+        path = write_pool(toy_pool(), tmp_path)
+        path.write_text(path.read_text().replace("\nb,", "\na,"))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: pool speaker_ids must be unique")):
             load_pool(path)
 
     @pytest.mark.parametrize("edit, words", [
         (("\nb,", "\nb/x,"), "speaker_id 'b/x'"),
         ((",200,20\n", ",0,20\n"), "must be positive"),
         ((",200,20\n", ",200,-20\n"), "must be positive"),
+        ((",200,20\n", ",inf,20\n"), "must be positive and finite"),
         (("pool_xvecs/b.xvec", "zero.xvec"), "pool entry 'b': zero-norm xvec"),
         (("pool_xvecs/b.xvec", "rank2.xvec"), "pool entry 'b': xvec must be 1-D"),
-    ], ids=["speaker_id", "zero_mean", "negative_std", "zero_xvec", "rank"])
+    ], ids=["speaker_id", "zero_mean", "negative_std", "infinite_mean", "zero_xvec", "rank"])
     def test_row_error_names_pool_line(self, tmp_path, edit, words):
         path = write_pool(toy_pool(), tmp_path)
         write_feature_file(tmp_path / "zero.xvec", np.zeros(2, dtype=np.float32))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import re
+import struct
 import typing
 from pathlib import Path
 
@@ -75,6 +76,16 @@ def trained_dir(tmp_path_factory, world_dir):
     return out
 
 
+def checkpoint_with(trained_dir: Path, path: Path, field: str, value: float) -> Path:
+    """Write at ``path`` the trained checkpoint with its dropout or first input mean replaced."""
+    data = bytearray((trained_dir / "checkpoint.f0md").read_bytes())
+    (n_layers,) = struct.unpack_from("<I", data, 8)
+    offset = 16 + 4 * n_layers + {"dropout": 0, "input_mean": 8}[field]
+    struct.pack_into("<d", data, offset, value)
+    path.write_bytes(bytes(data))
+    return path
+
+
 def absolute_rows(manifest: Path) -> list[str]:
     """A manifest's lines with its feature paths made absolute, header first."""
     lines = manifest.read_text().splitlines()
@@ -136,6 +147,12 @@ class TestConfigParsing:
     def test_missing_config_file_rejected(self):
         with pytest.raises(ConfigError, match="not found"):
             build_config("/nonexistent/run.cfg")
+
+    def test_non_utf8_config_file_named(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 1\nout_dir = x\xff\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 'utf-8' codec")):
+            build_config(str(path))
 
     def test_bad_set_syntax_rejected(self):
         with pytest.raises(ConfigError, match="--set"):
@@ -414,6 +431,17 @@ class TestEvalCommand:
                                 **{"eval.manifest": world_dir / "test" / "manifest.csv",
                                    "eval.checkpoint": ckpt}))
 
+    def test_bad_dropout_checkpoint_names_file(self, tmp_path, world_dir, trained_dir):
+        ckpt = checkpoint_with(trained_dir, tmp_path / "dropout.f0md", "dropout", 0.9)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "eval", "--out-dir", str(out),
+            "--set", f"eval.manifest={world_dir / 'test' / 'manifest.csv'}",
+            "--set", f"eval.checkpoint={ckpt}"])
+        assert result.exit_code == 1
+        assert f"error: {ckpt}: dropout must be in [0, 0.5]" in result.output
+        assert not out.exists()
+
     def test_exactly_one_prediction_source(self, tmp_path, world_dir, trained_dir):
         manifest = world_dir / "test" / "manifest.csv"
         with pytest.raises(ConfigError, match="exactly one"):
@@ -459,16 +487,21 @@ class TestEvalCommand:
             cmd_eval(config_for(out, **{"eval.manifest": truth, "eval.pred_manifest": pred}))
         assert not out.exists()
 
-    def test_comma_in_dataset_name_fails_without_metrics(self, tmp_path, world_dir):
+    def test_comma_in_dataset_name_fails_without_metrics(self, tmp_path, world_dir,
+                                                         trained_dir, monkeypatch):
+        calls = []
+        monkeypatch.setattr("f0synth.cli.predict_f0",
+                            lambda *args: calls.append(args) or predict_f0(*args))
         manifest = world_dir / "test" / "manifest.csv"
         out = tmp_path / "out"
         result = CliRunner().invoke(main, [
             "eval", "--out-dir", str(out),
             "--set", f"eval.manifest={manifest}",
-            "--set", f"eval.pred_manifest={manifest}",
+            "--set", f"eval.checkpoint={trained_dir / 'checkpoint.f0md'}",
             "--set", "eval.dataset_name=test,v2"])
         assert result.exit_code == 1
-        assert f"error: {out / 'metrics.csv'}: row" in result.output
+        assert "error: eval.dataset_name 'test,v2' is not one CSV field" in result.output
+        assert calls == []
         assert not out.exists()
 
     def test_empty_manifest_rejected(self, tmp_path):
@@ -703,6 +736,20 @@ class TestAnonymizeCommand:
                            r"input width 7 != d_xv \+ d_bn = 9"):
             cmd_anonymize(anon_config(out, world_dir, None,
                                       **{"anonymize.checkpoint": ckpt}))
+        assert not out.exists()
+
+    def test_non_finite_checkpoint_stats_fail_before_writing(self, tmp_path, world_dir,
+                                                             trained_dir):
+        ckpt = checkpoint_with(trained_dir, tmp_path / "nan.f0md", "input_mean", float("nan"))
+        out = tmp_path / "anon"
+        result = CliRunner().invoke(main, [
+            "anonymize", "--seed", "1", "--out-dir", str(out),
+            "--set", f"anonymize.manifest={world_dir / 'test' / 'manifest.csv'}",
+            "--set", f"anonymize.pool={world_dir / 'pool.csv'}",
+            "--set", f"anonymize.checkpoint={ckpt}",
+            "--set", "anonymize.n=2", "--set", "anonymize.k=1"])
+        assert result.exit_code == 1
+        assert f"error: {ckpt}: normalization stats must be finite" in result.output
         assert not out.exists()
 
     def test_synthesis_requires_checkpoint(self, tmp_path, world_dir):

@@ -15,6 +15,7 @@ from f0synth.featureio import (
     assemble_features,
     build_frame_table,
     compute_norm_stats,
+    is_csv_field,
     load_manifest,
     pack_header,
     read_csv,
@@ -141,6 +142,26 @@ class TestCodecs:
             write_csv(path, ("a", "b"), [["ok", "ok"], row])
         assert not path.exists()
 
+    @pytest.mark.parametrize("value, fits", [
+        ("", True), ("a b", True), ("a\tb", True), ("x;y", True), ("a,b", False),
+        (" a", False), ("a\t", False), ("a\nb", False), ("a\x0bb", False), ("a\u2029b", False),
+    ])
+    def test_csv_field_rule_matches_reader(self, tmp_path, value, fits):
+        assert is_csv_field(value) is fits
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,b\n{value},z\n", encoding="utf-8")
+        try:
+            back = [fields for _, fields in read_csv(path, ("a", "b"))]
+        except FormatError:
+            back = None
+        assert (back == [[value, "z"]]) is fits
+
+    def test_csv_non_utf8_names_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\nx\xff,z\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: 'utf-8' codec")):
+            list(read_csv(path, ("a", "b")))
+
     def test_header_pack_unpack_inverse(self, tmp_path):
         data = pack_header(b"TEST", 3, 7, 0, 2**32 - 1)
         assert data == b"TEST" + bytes([3, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255])
@@ -161,7 +182,8 @@ class TestUtterance:
         with pytest.raises(ValueError, match="non-finite"):
             make_utt(xvec=np.array([np.nan, 1.0], dtype=np.float32))
 
-    @pytest.mark.parametrize("bad", ["", "../../escaped", "a\\b", "a,b", "a\nb", "a\rb"])
+    @pytest.mark.parametrize("bad", ["", "../../escaped", "a\\b", "a,b", "a\nb", "a\rb",
+                                     " a", "a ", "a\tb\t", "a\x85b", "a\u2028b"])
     def test_ids_unfit_for_csv_or_file_name_rejected(self, bad):
         with pytest.raises(ValueError, match="utt_id"):
             make_utt(utt_id=bad)
@@ -224,6 +246,14 @@ class TestManifest:
     def test_directory_in_place_of_file_rejected(self, tmp_path):
         self.check_missing_feature(tmp_path, make_directory=True)
 
+    def test_path_through_a_file_rejected(self, tmp_path):
+        manifest = write_dataset(Dataset([make_utt()]), tmp_path)
+        manifest.write_text(manifest.read_text().replace("features/u0.bn", "features/u0.f0/bn"))
+        feature = tmp_path / "features" / "u0.f0" / "bn"
+        with pytest.raises(FileNotFoundError,
+                           match=f"manifest.csv:2: missing feature file {re.escape(str(feature))}"):
+            load_manifest(manifest)
+
     @staticmethod
     def check_missing_feature(tmp_path, make_directory):
         manifest = write_dataset(Dataset([make_utt()]), tmp_path)
@@ -233,6 +263,13 @@ class TestManifest:
             feature.mkdir()
         with pytest.raises(FileNotFoundError,
                            match=f"manifest.csv:2: missing feature file {re.escape(str(feature))}"):
+            load_manifest(manifest)
+
+    def test_non_utf8_byte_names_manifest(self, tmp_path):
+        manifest = write_dataset(Dataset([make_utt()]), tmp_path)
+        data = manifest.read_bytes()
+        manifest.write_bytes(data.replace(b",F,", b",\xff,"))
+        with pytest.raises(FormatError, match=re.escape(f"{manifest}: 'utf-8' codec")):
             load_manifest(manifest)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
@@ -363,3 +400,15 @@ class TestNormStats:
     def test_small_std_rejected(self):
         with pytest.raises(ValueError):
             NormStats(np.zeros(1), np.zeros(1), 0.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["input_mean", "input_std", "logf0_mean", "logf0_std"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stats_rejected(self, field, bad):
+        values = dict(input_mean=np.zeros(2), input_std=np.ones(2), logf0_mean=5.0,
+                      logf0_std=0.5)
+        if field.startswith("input"):
+            values[field] = np.array([1.0, bad])
+        else:
+            values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            NormStats(**values)

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -462,6 +465,20 @@ class TestCheckpoint:
         save_checkpoint(p, params)
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("offset_of, value, words", [
+        (lambda n: 16 + 4 * n, 0.9, "dropout must be in [0, 0.5]"),
+        (lambda n: 24 + 4 * n, float("nan"), "normalization stats must be finite"),
+    ], ids=["dropout", "nan_input_mean"])
+    def test_bad_field_names_checkpoint(self, tmp_path, offset_of, value, words):
+        params, _ = toy_params()
+        p = tmp_path / "m.f0md"
+        save_checkpoint(p, params)
+        data = bytearray(p.read_bytes())
+        struct.pack_into("<d", data, offset_of(params.n_layers), value)
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=re.escape(f"{p}: {words}")):
             load_checkpoint(p)
 
     def test_trailing_bytes_rejected(self, tmp_path):

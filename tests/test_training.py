@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -324,6 +325,14 @@ class TestScheduler:
     def test_non_finite_metric_rejected(self):
         with pytest.raises(ValueError):
             scheduler_update(self.make(), float("nan"))
+
+    def test_settings_come_from_the_train_config(self):
+        s = SchedulerState(1.0, TrainConfig(patience_lr=2, lr_factor=0.5, patience_stop=3))
+        actions = [scheduler_update(s, 0.5) for _ in range(4)]
+        assert actions == ["continue", "continue", "reduce_lr", "stop"]
+        assert s.current_lr == 0.5
+        assert {f.name for f in dataclasses.fields(SchedulerState)} == {
+            "current_lr", "config", "best_metric", "epochs_since_improve", "stopped"}
 
 
 def tiny_world(seed=0, **kwargs):
