@@ -53,6 +53,8 @@ from .metrics import (
     evaluate_utterances,
     pitch_correlation,
     pitch_error_counts,
+    pool_scores,
+    score_utterances,
 )
 from .model import (
     ModelConfig,
@@ -114,10 +116,12 @@ __all__ = [
     "pitch_correlation",
     "pitch_error_counts",
     "pool_from_dataset",
+    "pool_scores",
     "predict_f0",
     "read_feature_file",
     "save_checkpoint",
     "scheduler_update",
+    "score_utterances",
     "select_pseudo_speaker",
     "shift_scale_f0",
     "speaker_f0_stats",

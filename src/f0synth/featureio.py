@@ -28,6 +28,7 @@ line for a CSV (``at_row``).
 from __future__ import annotations
 
 import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -207,14 +208,36 @@ def require_bytes(path: Path, data: bytes, end: int, part: str) -> None:
 
 
 def write_feature_file(path: str | Path, values: np.ndarray) -> None:
-    """Write a rank-1 or rank-2 finite float array in the binary feature format."""
+    """Write a rank-1 or rank-2 finite float array in the binary feature format.
+
+    The file is opened without truncation (ext4 frees and reallocates a
+    truncated file's blocks) and written in place: its magic is zeroed, the
+    payload and then the header are written, and the file is cut to its new
+    length.  A killed write leaves a file that ``read_feature_file`` rejects,
+    for a bad magic or an oversized payload.
+    """
     arr = np.ascontiguousarray(values, dtype="<f4")
     if arr.ndim not in (1, 2):
         raise ValueError(f"feature rank must be 1 or 2, got {arr.ndim}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: non-finite value, not written")
     header = pack_header(FEATURE_MAGIC, FEATURE_VERSION, arr.ndim, *arr.shape)
-    Path(path).write_bytes(header + arr.tobytes(order="C"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        pwrite_all(fd, bytes(len(FEATURE_MAGIC)), 0)
+        pwrite_all(fd, arr.reshape(-1), len(header))
+        pwrite_all(fd, header, 0)
+        os.ftruncate(fd, len(header) + arr.nbytes)
+    finally:
+        os.close(fd)
+
+
+def pwrite_all(fd: int, data, offset: int) -> None:
+    """Write every byte of ``data`` at ``offset``, repeating after a short write."""
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:

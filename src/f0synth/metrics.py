@@ -183,27 +183,41 @@ class MetricsReport(FrameCounts):
     pitch_correlation: float | None
 
 
-def evaluate_utterances(pred: dict, truth: dict) -> MetricsReport:
-    """Pool metrics over matching utt_id -> trajectory mappings.
+def score_utterances(pred: dict, truth: dict) -> dict[str, tuple[FrameCounts, float | None]]:
+    """Score matching utt_id -> trajectory mappings, each utterance once.
 
-    Counts are summed across utterances before any ratio is taken;
-    pitch correlation is averaged over utterances where it is defined.
+    Returns utt_id -> ``(pitch_error_counts, pitch_correlation)``, the
+    records ``pool_scores`` pools.
     """
     if set(pred) != set(truth):
         missing = set(truth) ^ set(pred)
         raise ValueError(f"unmatched utt_ids: {sorted(missing)[:5]}")
-    if not truth:
+    return {utt_id: (pitch_error_counts(pred[utt_id], t), pitch_correlation(pred[utt_id], t))
+            for utt_id, t in truth.items()}
+
+
+def pool_scores(scores: dict[str, tuple[FrameCounts, float | None]]) -> MetricsReport:
+    """Pool per-utterance records from ``score_utterances``, in sorted-id order.
+
+    Counts are summed across utterances before any ratio is taken; pitch
+    correlation is averaged over utterances where it is defined.
+    """
+    if not scores:
         raise ValueError("no utterances to evaluate")
     pooled = FrameCounts(0, 0, 0, 0, 0, 0)
     rhos = []
-    for utt_id in sorted(truth):
-        p, t = pred[utt_id], truth[utt_id]
-        pooled = pooled + pitch_error_counts(p, t)
-        rho = pitch_correlation(p, t)
+    for utt_id in sorted(scores):
+        counts, rho = scores[utt_id]
+        pooled = pooled + counts
         if rho is not None:
             rhos.append(rho)
     mean_rho = float(np.mean(rhos)) if rhos else None
     return MetricsReport(**vars(pooled), pitch_correlation=mean_rho)
+
+
+def evaluate_utterances(pred: dict, truth: dict) -> MetricsReport:
+    """Pool metrics over matching utt_id -> trajectory mappings."""
+    return pool_scores(score_utterances(pred, truth))
 
 
 def format_percent(value: float | None) -> str:

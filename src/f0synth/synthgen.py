@@ -149,16 +149,21 @@ def _block_walks(rngs: list[np.random.Generator], n_frames: int, d: int) -> np.n
     """AR(1) walks, N(0,1) marginal, of one block of utterances: (utts, frames, d).
 
     Steps come from each utterance's own stream.  IEEE + and * commute, so
-    the in-place ``scale*step[t] + c*bn[t-1]`` has the scalar walk's bits.
+    the in-place ``scale*step[t] + bn[t-1]*c`` has the scalar walk's bits.
+    The buffer is time-major, so each frame's update is one contiguous
+    (utts, d) slab; the result is a view of it.
     """
     innovation_scale = np.sqrt(1.0 - WALK_COEFF**2)
-    bn = np.empty((len(rngs), n_frames, d))
-    for rng, walk in zip(rngs, bn):
-        rng.standard_normal(out=walk)
+    walks = np.empty((n_frames, len(rngs), d))
+    steps = np.empty((n_frames, d))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=steps)
+        walks[:, i] = steps
+    walks[1:] *= innovation_scale
+    carry = np.empty((len(rngs), d))
     for t in range(1, n_frames):
-        bn[:, t] *= innovation_scale
-        bn[:, t] += WALK_COEFF * bn[:, t - 1]
-    return bn
+        walks[t] += np.multiply(walks[t - 1], WALK_COEFF, out=carry)
+    return walks.swapaxes(0, 1)
 
 
 def generate_synthetic_dataset(

@@ -32,7 +32,8 @@ from f0synth.featureio import (
     read_feature_file,
     write_feature_file,
 )
-from f0synth.metrics import REPORT_COLUMNS
+from f0synth import metrics
+from f0synth.metrics import REPORT_COLUMNS, evaluate_utterances, report_csv_row
 from f0synth.model import ModelConfig, ModelParams, load_checkpoint, predict_f0, save_checkpoint
 from f0synth.synthgen import DATASET_ROLES, SynthSpec
 from f0synth.training import HISTORY_COLUMNS, TrainConfig
@@ -422,6 +423,29 @@ class TestEvalCommand:
         assert report.accurately_processed is not None
         assert 0.0 <= report.accurately_processed <= 1.0
 
+    def test_each_utterance_scored_once(self, tmp_path, world_dir, trained_dir, monkeypatch):
+        manifest = world_dir / "test" / "manifest.csv"
+        checkpoint = trained_dir / "checkpoint.f0md"
+        sources = load_manifest(manifest)
+        params, _ = load_checkpoint(checkpoint)
+        pred = {u.utt_id: predict_f0(params, u.features())[0] for u in sources.utterances}
+        truth = {u.utt_id: u.f0 for u in sources.utterances}
+        expected = []
+        for sex in ("F", "M", "all"):
+            ids = [u.utt_id for u in sources.utterances if sex in ("all", u.gender.value)]
+            report = evaluate_utterances({k: pred[k] for k in ids}, {k: truth[k] for k in ids})
+            expected.append(",".join(report_csv_row("test", sex, report)))
+        calls = []
+        for name in ("pitch_error_counts", "pitch_correlation"):
+            original = getattr(metrics, name)
+            monkeypatch.setattr(metrics, name, lambda *args, original=original, name=name:
+                                calls.append(name) or original(*args))
+        cmd_eval(config_for(tmp_path / "ck", **{"eval.manifest": manifest,
+                                                "eval.checkpoint": checkpoint}))
+        assert sorted(calls) == (["pitch_correlation"] * len(sources)
+                                 + ["pitch_error_counts"] * len(sources))
+        assert (tmp_path / "ck" / "metrics.csv").read_text().splitlines()[1:] == expected
+
     def test_checkpoint_width_mismatch_rejected(self, tmp_path, world_dir):
         ckpt = tmp_path / "narrow.f0md"
         save_checkpoint(ckpt, zero_params(input_dim=7))  # world: d_xv 3 + d_bn 6
@@ -533,7 +557,9 @@ class TestAnonymizeCommand:
     def test_outputs_and_log_format(self, tmp_path, world_dir, trained_dir, capsys):
         out = tmp_path / "anon"
         result = cmd_anonymize(anon_config(out, world_dir, trained_dir, seed=9))
-        assert "synthesis throughput (predict_f0 only): " in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "synthesis throughput (predict_f0 only): " in printed
+        assert "anonymize throughput (per-utterance loop: synthesis, writes, rho_f0): " in printed
         sources = load_manifest(world_dir / "test" / "manifest.csv")
         lines = (out / "anon_log.csv").read_text().splitlines()
         assert lines[0] == "utt_id,mode,chosen_ids,tgt_mean,tgt_std"
@@ -549,6 +575,7 @@ class TestAnonymizeCommand:
             assert (out / "f0_out" / f"{utt.utt_id}.f0").is_file()
             assert (out / "xvec_out" / f"{utt.utt_id}.xvec").is_file()
         assert result["frames_per_second"] > 0
+        assert 0 < result["loop_frames_per_second"] < result["frames_per_second"]
 
     def test_same_seed_reproduces_outputs(self, tmp_path, world_dir, trained_dir):
         a = cmd_anonymize(anon_config(tmp_path / "a", world_dir, trained_dir, seed=9))

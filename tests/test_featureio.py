@@ -1,8 +1,10 @@
+import os
 import re
 
 import numpy as np
 import pytest
 
+from f0synth import featureio
 from f0synth.featureio import (
     FEATURE_MAGIC,
     STD_FLOOR,
@@ -123,6 +125,94 @@ class TestFeatureFile:
         with pytest.raises(ValueError, match="bad.f0"):
             write_feature_file(p, np.array([100.0, bad]))
         assert not p.exists()
+
+
+LONG = np.arange(35, dtype=np.float32).reshape(5, 7) - 17.5
+SHORT = np.array([100.0, 0.0, 150.0], dtype=np.float32)
+
+
+class TestFeatureFileRewrite:
+    """A file is written in place, and a killed write reads as damaged."""
+
+    @staticmethod
+    def fresh_bytes(tmp_path, values):
+        fresh = tmp_path / "fresh"
+        write_feature_file(fresh, values)
+        return fresh.read_bytes()
+
+    @pytest.mark.parametrize("old, new", [(LONG, SHORT), (SHORT, LONG)],
+                             ids=["over_longer", "over_shorter"])
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old, new):
+        p = tmp_path / "a.bn"
+        write_feature_file(p, old)
+        write_feature_file(p, new)
+        assert p.read_bytes() == self.fresh_bytes(tmp_path, new)
+        assert np.array_equal(read_feature_file(p), new)
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.bn"
+        write_feature_file(p, SHORT)
+        pwrite = os.pwrite
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:3], offset))
+        write_feature_file(p, LONG)
+        monkeypatch.undo()
+        assert p.read_bytes() == self.fresh_bytes(tmp_path, LONG)
+
+    def test_new_file_gets_the_mode_of_write_bytes(self, tmp_path):
+        write_feature_file(tmp_path / "a.f0", SHORT)
+        (tmp_path / "b.f0").write_bytes(b"")
+        assert (tmp_path / "a.f0").stat().st_mode == (tmp_path / "b.f0").stat().st_mode
+
+    @pytest.mark.parametrize("old", [LONG, SHORT, None],
+                             ids=["over_longer", "over_shorter", "creation"])
+    def test_write_killed_after_magic_is_rejected(self, tmp_path, monkeypatch, old):
+        manifest = write_dataset(Dataset([make_utt(f0=SHORT, bn=LONG[:3, :2])]), tmp_path)
+        p = tmp_path / "features" / "u0.bn"
+        if old is None:
+            p.unlink()
+        else:
+            write_feature_file(p, old)
+        writes = []
+
+        def killed_after_magic(fd, data, offset):
+            writes.append(offset)
+            if len(writes) == 2:  # the payload, once the magic reads as zeros
+                raise KeyboardInterrupt
+            pwrite_all(fd, data, offset)
+
+        pwrite_all = featureio.pwrite_all
+        monkeypatch.setattr(featureio, "pwrite_all", killed_after_magic)
+        with pytest.raises(KeyboardInterrupt):
+            write_feature_file(p, np.ones((4, 2), dtype=np.float32))
+        assert p.read_bytes()[:4] == bytes(4)
+        with pytest.raises(FormatError, match=re.escape(f"{p}: bad magic")):
+            read_feature_file(p)
+        with pytest.raises(FormatError, match=re.escape(f"manifest.csv:2: {p}: bad magic")):
+            load_manifest(manifest)
+
+    def test_rewrite_killed_before_the_cut_is_rejected(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.bn"
+        write_feature_file(p, LONG)
+
+        def killed(fd, length):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "ftruncate", killed)
+        with pytest.raises(KeyboardInterrupt):
+            write_feature_file(p, SHORT)
+        monkeypatch.undo()
+        with pytest.raises(FormatError, match=re.escape(f"{p}: truncated or oversized")):
+            read_feature_file(p)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e39])
+    def test_non_finite_rewrite_leaves_the_file_unchanged(self, tmp_path, bad):
+        p = tmp_path / "a.f0"
+        write_feature_file(p, SHORT)
+        before = p.read_bytes()
+        with pytest.raises(ValueError, match="a.f0"):
+            write_feature_file(p, np.array([100.0, bad]))
+        assert p.read_bytes() == before
 
 
 class TestCodecs:

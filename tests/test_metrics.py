@@ -8,7 +8,9 @@ from f0synth.metrics import (
     format_percent,
     pitch_correlation,
     pitch_error_counts,
+    pool_scores,
     report_csv_row,
+    score_utterances,
 )
 
 
@@ -250,6 +252,18 @@ class TestEvaluateUtterances:
         pred = {"u0": np.zeros(3)}
         truth = {"u0": np.array([1.0, 2.0, 3.0])}
         assert evaluate_utterances(pred, truth).pitch_correlation is None
+
+    def test_pools_of_one_scoring_match_per_group_evaluation(self):
+        rng = np.random.default_rng(11)
+        pred, truth = {}, {}
+        for i in range(7):
+            pred[f"u{i}"], truth[f"u{i}"] = random_pair(rng, int(rng.integers(5, 40)))
+        scores = score_utterances(pred, truth)
+        assert scores == {k: (pitch_error_counts(pred[k], truth[k]),
+                              pitch_correlation(pred[k], truth[k])) for k in truth}
+        for ids in (["u0", "u3", "u5"], ["u1", "u2", "u4", "u6"], sorted(truth)):
+            alone = evaluate_utterances({k: pred[k] for k in ids}, {k: truth[k] for k in ids})
+            assert pool_scores({k: scores[k] for k in ids}) == alone
 
     def test_unmatched_ids_rejected(self):
         with pytest.raises(ValueError, match="unmatched"):
