@@ -13,7 +13,6 @@ Run:  python3 demos/01_synthetic_world.py
 """
 
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -63,9 +62,9 @@ print(f"validation split shares speakers but not frames: first val utt "
       f"{np.array_equal(val.utterances[0].f0, dataset.utterances[0].f0)}")
 
 print("\n=== 5. Write to disk and read back ===")
-out_dir = Path(tempfile.mkdtemp(prefix="f0synth_demo_"))
-manifest = write_dataset(dataset, out_dir)
-print(f"wrote {manifest}")
-loaded = load_manifest(manifest)  # every row must share the first row's widths
+with tempfile.TemporaryDirectory(prefix="f0synth_demo_") as out_dir:
+    manifest = write_dataset(dataset, out_dir)
+    print(f"wrote {manifest}")
+    loaded = load_manifest(manifest)  # every row must share the first row's widths
 print(f"round-trip intact: "
       f"{all(np.array_equal(a.f0, b.f0) and np.array_equal(a.bn, b.bn) for a, b in zip(dataset.utterances, loaded.utterances))}")

@@ -59,13 +59,14 @@ print(f"{utt.utt_id}: voicing agreement "
       f"median relative F0 error {np.median(rel):.4f}")
 
 print("\n=== 5. Checkpoints round-trip exactly ===")
-ckpt = Path(tempfile.mkdtemp(prefix="f0synth_demo_")) / "model.f0md"
-save_checkpoint(ckpt, params, dropout=model_config.dropout)
-loaded, loaded_config = load_checkpoint(ckpt)
-same = all(np.array_equal(a, b)
-           for a, b in zip(params.weights, loaded.weights))
-print(f"wrote {ckpt} ({ckpt.stat().st_size} bytes); "
-      f"weights bit-identical after reload: {same}")
+with tempfile.TemporaryDirectory(prefix="f0synth_demo_") as tmp:
+    ckpt = Path(tmp) / "model.f0md"
+    save_checkpoint(ckpt, params, dropout=model_config.dropout)
+    loaded, loaded_config = load_checkpoint(ckpt)
+    same = all(np.array_equal(a, b)
+               for a, b in zip(params.weights, loaded.weights))
+    print(f"wrote {ckpt} ({ckpt.stat().st_size} bytes); "
+          f"weights bit-identical after reload: {same}")
 re_pred, _ = predict_f0(loaded, utt.features())
 print(f"reloaded model reproduces predictions exactly: "
       f"{np.array_equal(pred_f0, re_pred)}")

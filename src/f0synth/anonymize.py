@@ -185,15 +185,13 @@ def speaker_f0_stats(dataset: Dataset) -> dict[str, F0Stats]:
             raise ValueError(
                 f"speaker {speaker_id!r} has {len(voiced_f0)} voiced frames, need >= 2")
         stats[speaker_id] = F0Stats(float(voiced_f0.mean()), float(voiced_f0.std()))
+        if stats[speaker_id].std == 0:
+            raise ValueError(f"speaker {speaker_id!r}: voiced F0 std must be positive, got 0")
     return stats
 
 
 def pool_from_dataset(dataset: Dataset) -> SpeakerPool:
-    """Build a pool from a dataset: per-speaker mean embedding + F0 stats.
-
-    A speaker whose voiced F0 is constant has zero std and is rejected by
-    the PoolEntry invariant.
-    """
+    """Build a pool from a dataset: per-speaker mean embedding + F0 stats."""
     stats = speaker_f0_stats(dataset)
     entries = []
     for speaker_id, utts in dataset.by_speaker().items():

@@ -206,15 +206,30 @@ def build_config(
 # command bodies (pure-ish: config in, result out, files under out_dir)
 # ---------------------------------------------------------------------------
 
+def input_width(dataset: Dataset) -> int:
+    """A manifest's model input width: d_xv + d_bn, shared by all its utterances."""
+    utt = dataset.utterances[0]
+    return len(utt.xvec) + utt.bn.shape[1]
+
+
 def load_matching_checkpoint(path: str, dataset: Dataset):
     """Load a checkpoint's params; its input width must be the data's d_xv + d_bn."""
     params, _ = load_checkpoint(path)
-    utt = dataset.utterances[0]
-    width = len(utt.xvec) + utt.bn.shape[1]
+    width = input_width(dataset)
     if params.input_dim != width:
         raise ValueError(f"{path}: checkpoint input width {params.input_dim} != "
                          f"d_xv + d_bn = {width} of the manifest")
     return params
+
+
+def load_validation(path: str, width: int) -> Dataset:
+    """Load a validation manifest; its d_xv + d_bn must be the train table's ``width``."""
+    dataset = load_manifest(path)
+    got = input_width(dataset)
+    if got != width:
+        raise ValueError(f"{path}: d_xv + d_bn = {got} of the validation manifest "
+                         f"!= {width} of the train manifest")
+    return dataset
 
 
 def cmd_synthgen(config: RunConfig) -> dict:
@@ -248,7 +263,8 @@ def cmd_train(config: RunConfig) -> dict:
     table = build_frame_table(load_manifest(train_manifest))
     model_config = section_config(config, "model", input_dim=table.rows.shape[1])
     out_dir.mkdir(parents=True, exist_ok=True)
-    params, history = train(table, load_manifest(val_manifest), model_config, train_config)
+    params, history = train(table, load_validation(val_manifest, table.rows.shape[1]),
+                            model_config, train_config)
     checkpoint = out_dir / "checkpoint.f0md"
     save_checkpoint(checkpoint, params, dropout=model_config.dropout)
     history_path = write_csv(out_dir / "history.csv", HISTORY_COLUMNS, history.csv_rows())
@@ -291,6 +307,10 @@ def cmd_eval(config: RunConfig) -> dict:
         if missing or extra:
             raise ValueError(f"{pred_manifest}: utt_ids differ from the truth manifest "
                              f"(missing {missing[:5]}, extra {extra[:5]})")
+        for utt_id, f0 in pred.items():
+            if len(f0) != len(truth[utt_id]):
+                raise ValueError(f"{pred_manifest}: utterance {utt_id!r} has {len(f0)} "
+                                 f"frames, {len(truth[utt_id])} in the truth manifest")
 
     groups: list[tuple[str, set[str]]] = []
     for gender in (Gender.F, Gender.M):

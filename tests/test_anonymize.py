@@ -212,7 +212,8 @@ class TestSpeakerStats:
 
     def test_constant_f0_speaker_rejected_by_pool_entry(self):
         ds = Dataset([make_utt("u0", "s0", Gender.F, [150.0, 150.0], [1.0, 0.0])])
-        assert speaker_f0_stats(ds)["s0"].std == 0.0  # stats themselves fine
+        with pytest.raises(ValueError, match="'s0'.*positive"):
+            speaker_f0_stats(ds)
         with pytest.raises(ValueError, match="positive"):
             pool_from_dataset(ds)
 

@@ -26,10 +26,12 @@ from f0synth.cli import (
 )
 from f0synth.featureio import (
     MANIFEST_COLUMNS,
+    Dataset,
     NormStats,
     load_manifest,
     read_csv,
     read_feature_file,
+    write_dataset,
     write_feature_file,
 )
 from f0synth import metrics
@@ -391,6 +393,20 @@ class TestTrainCommand:
                 **{"train.manifest": world_dir / "train" / "manifest.csv",
                    "train.val_manifest": empty}))
 
+    def test_val_manifest_of_other_width_named_before_training(self, tmp_path, world_dir,
+                                                               monkeypatch):
+        monkeypatch.setattr("f0synth.cli.train", lambda *args: pytest.fail("trained"))
+        val = load_manifest(world_dir / "validation" / "manifest.csv")
+        narrow = write_dataset(Dataset([dataclasses.replace(u, bn=u.bn[:, :4])
+                                        for u in val.utterances]), tmp_path / "narrow")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{narrow}: d_xv + d_bn = 7 of the validation manifest "
+                f"!= 9 of the train manifest")):
+            cmd_train(config_for(
+                tmp_path / "out",
+                **{"train.manifest": world_dir / "train" / "manifest.csv",
+                   "train.val_manifest": narrow}))
+
     def test_missing_manifest_fails(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             cmd_train(config_for(
@@ -508,6 +524,19 @@ class TestEvalCommand:
         with pytest.raises(ValueError, match=re.escape(
                 f"{pred}: utt_ids differ from the truth manifest "
                 f"(missing {missing}, extra {extra})")):
+            cmd_eval(config_for(out, **{"eval.manifest": truth, "eval.pred_manifest": pred}))
+        assert not out.exists()
+
+    def test_pred_frame_count_must_match_truth(self, tmp_path, world_dir):
+        truth = world_dir / "test" / "manifest.csv"
+        utts = load_manifest(truth).utterances
+        short = utts[2]
+        utts[2] = dataclasses.replace(short, f0=short.f0[:100], bn=short.bn[:100])
+        pred = write_dataset(Dataset(utts), tmp_path / "pred")
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{pred}: utterance '{short.utt_id}' has 100 frames, "
+                f"{len(short.f0)} in the truth manifest")):
             cmd_eval(config_for(out, **{"eval.manifest": truth, "eval.pred_manifest": pred}))
         assert not out.exists()
 
@@ -662,6 +691,23 @@ class TestAnonymizeCommand:
             tgt_mean, tgt_std = targets[speaker_id]
             assert voiced.mean() == pytest.approx(tgt_mean, rel=1e-5)
             assert voiced.std() == pytest.approx(tgt_std, rel=1e-5)
+
+    def test_constant_f0_speaker_fails_naming_it_before_writing(self, tmp_path, world_dir):
+        utts = load_manifest(world_dir / "test" / "manifest.csv").utterances
+        flat = utts[-1].speaker_id
+        utts = [dataclasses.replace(u, f0=np.where(u.f0 > 0, 150.0, 0.0))
+                if u.speaker_id == flat else u for u in utts]
+        manifest = write_dataset(Dataset(utts), tmp_path / "in")
+        out = tmp_path / "anon"
+        result = CliRunner().invoke(main, [
+            "anonymize", "--seed", "1", "--out-dir", str(out),
+            "--set", f"anonymize.manifest={manifest}",
+            "--set", f"anonymize.pool={world_dir / 'pool.csv'}",
+            "--set", "anonymize.method=shift_scale",
+            "--set", "anonymize.n=2", "--set", "anonymize.k=1"])
+        assert result.exit_code == 1
+        assert f"error: speaker {flat!r}: voiced F0 std must be positive" in result.output
+        assert not out.exists()
 
     def test_degenerate_model_flags_every_utterance(self, tmp_path, world_dir):
         params = zero_params(input_dim=9)
