@@ -83,11 +83,28 @@ fi
 grep -qF "$bad_ckpt" "$TMP/eval_bad.err"
 test ! -e "$TMP/eval_bad"
 
-# A quickstart-sized world: its GEMMs are large enough for OpenBLAS
-# to thread, so the checkpoint must not depend on the thread count.
-$F0SYNTH synthgen --seed 11 --out-dir "$TMP/world_qs" \
-  --set synth.n_speakers_per_gender=10 --set synth.utts_per_speaker=5 \
-  --set synth.frames_per_utt=520
+# A validation manifest that does not exist: train exits 1, names it on
+# stderr and makes no out_dir.
+status=0
+$F0SYNTH train --out-dir "$TMP/run_bad" \
+  --set train.manifest="$TMP/world_a/train/manifest.csv" \
+  --set train.val_manifest="$TMP/nope/manifest.csv" 2> "$TMP/run_bad.err" || status=$?
+cat "$TMP/run_bad.err"
+if [ "$status" != 1 ]; then
+  echo "train with a missing validation manifest exited $status, not 1"; exit 1
+fi
+grep -qF "$TMP/nope/manifest.csv" "$TMP/run_bad.err"
+test ! -e "$TMP/run_bad"
+
+# A quickstart-sized world.  synthgen draws on every CPU it may run on,
+# so the world built on one CPU must be the same bytes.  Its GEMMs are
+# large enough for OpenBLAS to thread, so the checkpoint must not depend
+# on the thread count.
+qs_world=(--seed 11 --set synth.n_speakers_per_gender=10
+          --set synth.utts_per_speaker=5 --set synth.frames_per_utt=520)
+$F0SYNTH synthgen --out-dir "$TMP/world_qs" "${qs_world[@]}"
+taskset -c 0 $F0SYNTH synthgen --out-dir "$TMP/world_qs_cpu0" "${qs_world[@]}"
+diff -r "$TMP/world_qs" "$TMP/world_qs_cpu0"
 for threads in 1 2; do
   OPENBLAS_NUM_THREADS=$threads $F0SYNTH train --seed 11 \
     --out-dir "$TMP/run_qs_$threads" \

@@ -257,14 +257,15 @@ def cmd_train(config: RunConfig) -> dict:
     """Train on a manifest pair; write checkpoint.f0md and history.csv."""
     train_manifest = config.require("train.manifest")
     val_manifest = config.require("train.val_manifest")
-    # Settings, train table and model, out_dir, then validation data; no Dataset is kept.
+    # Settings, train table and model, validation data, then out_dir.  The
+    # validation Dataset is popped into train(), which drops it once prepared.
     train_config = section_config(config, "train", seed=config.seed)
     out_dir = config.out_dir
     table = build_frame_table(load_manifest(train_manifest))
     model_config = section_config(config, "model", input_dim=table.rows.shape[1])
+    validation = [load_validation(val_manifest, table.rows.shape[1])]
     out_dir.mkdir(parents=True, exist_ok=True)
-    params, history = train(table, load_validation(val_manifest, table.rows.shape[1]),
-                            model_config, train_config)
+    params, history = train(table, validation.pop(), model_config, train_config)
     checkpoint = out_dir / "checkpoint.f0md"
     save_checkpoint(checkpoint, params, dropout=model_config.dropout)
     history_path = write_csv(out_dir / "history.csv", HISTORY_COLUMNS, history.csv_rows())

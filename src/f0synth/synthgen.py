@@ -14,7 +14,11 @@ frames are correlated like real acoustic features.  Each utterance draws
 from its own seeded stream; one recursion over time walks a block of a
 role's utterances at once.  A block holds up to ``WALK_BLOCK_VALUES``
 walk values, never fewer than one speaker's utterances, and may span
-speakers and genders.  Ground truth:
+speakers and genders.  A block's draws are split into one contiguous part
+of utterances per CPU the process may run on; the calling thread draws
+one part and a thread pool, alive only during the call, the rest.  Each
+utterance's stream fills its own slot, so the bits do not depend on the
+CPU count.  Ground truth:
 
     ln F0[t] = ln(base_f0_<gender>) + weights . bn[t, :k]
     voiced[t] = bn[t, 1] > voicing_threshold
@@ -28,11 +32,16 @@ F0 files bit-exactly when noise is zero.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .featureio import Dataset, Gender, Utterance
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 # AR(1) coefficient of the feature walk; marginal stays N(0,1).
 WALK_COEFF = 0.9
@@ -145,20 +154,41 @@ def _speaker_xvec(spec: SynthSpec, gender_idx: int, spk_idx: int) -> np.ndarray:
     return xvec.astype(np.float32)
 
 
-def _block_walks(rngs: list[np.random.Generator], n_frames: int, d: int) -> np.ndarray:
-    """AR(1) walks, N(0,1) marginal, of one block of utterances: (utts, frames, d).
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Steps come from each utterance's own stream.  IEEE + and * commute, so
-    the in-place ``scale*step[t] + bn[t-1]*c`` has the scalar walk's bits.
-    The buffer is time-major, so each frame's update is one contiguous
-    (utts, d) slab; the result is a view of it.
-    """
-    innovation_scale = np.sqrt(1.0 - WALK_COEFF**2)
-    walks = np.empty((n_frames, len(rngs), d))
-    steps = np.empty((n_frames, d))
+
+def _draw_steps(rngs: list[np.random.Generator], walks: np.ndarray) -> None:
+    """Fill each slot ``walks[:, i]`` (time-major) with stream i's N(0,1) steps."""
+    steps = np.empty((walks.shape[0], walks.shape[2]))
     for i, rng in enumerate(rngs):
         rng.standard_normal(out=steps)
         walks[:, i] = steps
+
+
+def _block_walks(rngs: list[np.random.Generator], n_frames: int, d: int,
+                 pool: Executor, cpus: int) -> np.ndarray:
+    """AR(1) walks, N(0,1) marginal, of one block of utterances: (utts, frames, d).
+
+    Steps come from each utterance's own stream, drawn in ``min(cpus, utts)``
+    contiguous parts: the calling thread draws the first, ``pool`` the rest.
+    IEEE + and * commute, so the in-place ``scale*step[t] + bn[t-1]*c`` has
+    the scalar walk's bits.  The buffer is time-major, so each frame's update
+    is one contiguous (utts, d) slab; the result is a view of it.
+    """
+    innovation_scale = np.sqrt(1.0 - WALK_COEFF**2)
+    walks = np.empty((n_frames, len(rngs), d))
+    parts = min(cpus, len(rngs))
+    bounds = [k * len(rngs) // parts for k in range(parts + 1)]
+    futures = [pool.submit(_draw_steps, rngs[lo:hi], walks[:, lo:hi])
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    _draw_steps(rngs[:bounds[1]], walks[:, :bounds[1]])
+    for future in futures:
+        future.result()
     walks[1:] *= innovation_scale
     carry = np.empty((len(rngs), d))
     for t in range(1, n_frames):
@@ -174,7 +204,7 @@ def generate_synthetic_dataset(
     The same spec shares ground-truth mapping and speakers across roles
     but draws fresh utterances per role, so train/validation/test splits
     come from one world without frame overlap.  Same (spec, role) twice
-    yields bit-identical datasets.
+    yields bit-identical datasets, on any number of CPUs.
     """
     if role not in DATASET_ROLES:
         raise ValueError(f"role must be one of {DATASET_ROLES}, got {role!r}")
@@ -189,24 +219,31 @@ def generate_synthetic_dataset(
     block = max(spec.utts_per_speaker,
                 WALK_BLOCK_VALUES // (spec.frames_per_utt * spec.d_bn))
     utterances = []
-    for start in range(0, len(keys), block):
-        chunk = keys[start:start + block]
-        rngs = [np.random.default_rng([spec.seed, role_stream, gender_idx, spk_idx, utt_idx])
-                for (gender_idx, _, spk_idx, _), utt_idx in chunk]
-        walks = _block_walks(rngs, spec.frames_per_utt, spec.d_bn)
-        for ((_, gender, spk_idx, xvec), utt_idx), rng, bn in zip(chunk, rngs, walks):
-            speaker_id = f"{gender.value}{spk_idx:03d}"
-            bn32 = bn.astype(np.float32)
-            logf0 = mapping.logf0(gender, bn32)
-            if noise_log_std > 0:
-                logf0 += rng.normal(0.0, noise_log_std, size=len(logf0))
-            f0 = np.where(mapping.voiced_mask(bn32), np.exp(logf0), 0.0).astype(np.float32)
-            utterances.append(Utterance(
-                utt_id=f"{speaker_id}_{role}{utt_idx:03d}",
-                speaker_id=speaker_id,
-                gender=gender,
-                f0=f0,
-                bn=bn32,
-                xvec=xvec,
-            ))
+    # Imported here: commands that never generate (train, eval, anonymize)
+    # then load neither the pool nor the logging module it imports.
+    from concurrent.futures import ThreadPoolExecutor
+
+    cpus = _usable_cpus()
+    # Threads start on the first submit, so one CPU starts none.
+    with ThreadPoolExecutor(max_workers=max(1, cpus - 1)) as pool:
+        for start in range(0, len(keys), block):
+            chunk = keys[start:start + block]
+            rngs = [np.random.default_rng([spec.seed, role_stream, g_idx, spk_idx, utt_idx])
+                    for (g_idx, _, spk_idx, _), utt_idx in chunk]
+            walks = _block_walks(rngs, spec.frames_per_utt, spec.d_bn, pool, cpus)
+            for ((_, gender, spk_idx, xvec), utt_idx), rng, bn in zip(chunk, rngs, walks):
+                speaker_id = f"{gender.value}{spk_idx:03d}"
+                bn32 = bn.astype(np.float32)
+                logf0 = mapping.logf0(gender, bn32)
+                if noise_log_std > 0:
+                    logf0 += rng.normal(0.0, noise_log_std, size=len(logf0))
+                f0 = np.where(mapping.voiced_mask(bn32), np.exp(logf0), 0.0).astype(np.float32)
+                utterances.append(Utterance(
+                    utt_id=f"{speaker_id}_{role}{utt_idx:03d}",
+                    speaker_id=speaker_id,
+                    gender=gender,
+                    f0=f0,
+                    bn=bn32,
+                    xvec=xvec,
+                ))
     return Dataset(utterances), mapping

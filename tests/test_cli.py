@@ -1,8 +1,11 @@
 import dataclasses
+import gc
 import hashlib
 import re
 import struct
+import sys
 import typing
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +409,41 @@ class TestTrainCommand:
                 tmp_path / "out",
                 **{"train.manifest": world_dir / "train" / "manifest.csv",
                    "train.val_manifest": narrow}))
+
+    @pytest.mark.parametrize("bad", ["missing", "narrow"])
+    def test_bad_val_manifest_fails_before_out_dir(self, tmp_path, world_dir, bad):
+        if bad == "missing":
+            val_manifest = tmp_path / "nope" / "manifest.csv"
+        else:
+            val = load_manifest(world_dir / "validation" / "manifest.csv")
+            val_manifest = write_dataset(Dataset([dataclasses.replace(u, bn=u.bn[:, :4])
+                                                  for u in val.utterances]), tmp_path / "narrow")
+        out = tmp_path / "run"
+        result = CliRunner().invoke(main, [
+            "train", "--out-dir", str(out),
+            "--set", f"train.manifest={world_dir / 'train' / 'manifest.csv'}",
+            "--set", f"train.val_manifest={val_manifest}"])
+        assert result.exit_code == 1
+        assert str(val_manifest) in result.output
+        assert not out.exists()
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="before 3.11 a caller holds its call's arguments until return")
+    def test_validation_dataset_not_kept_during_training(self, tmp_path, world_dir,
+                                                         monkeypatch):
+        def fake_train(table, val_dataset, model_config, train_config):
+            ref = weakref.ref(val_dataset)
+            del val_dataset
+            gc.collect()
+            assert ref() is None, "cmd_train still holds the validation Dataset"
+            raise RuntimeError("stop after the check")
+
+        monkeypatch.setattr("f0synth.cli.train", fake_train)
+        with pytest.raises(RuntimeError, match="stop after the check"):
+            cmd_train(config_for(
+                tmp_path / "out",
+                **{"train.manifest": world_dir / "train" / "manifest.csv",
+                   "train.val_manifest": world_dir / "validation" / "manifest.csv"}))
 
     def test_missing_manifest_fails(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,12 +38,30 @@ def walk_calls(monkeypatch):
     calls = []
     walk = synthgen._block_walks
 
-    def spy(rngs, n_frames, d):
+    def spy(rngs, n_frames, d, pool, cpus):
         calls.append(len(rngs))
-        return walk(rngs, n_frames, d)
+        return walk(rngs, n_frames, d, pool, cpus)
 
     monkeypatch.setattr(synthgen, "_block_walks", spy)
     return calls
+
+
+@pytest.fixture
+def draw_parts(monkeypatch):
+    """Spy on the step-drawing helper: (utterances, drawn on the calling thread) per part."""
+    parts = []
+    draw = synthgen._draw_steps
+
+    def spy(rngs, walks):
+        parts.append((len(rngs), threading.current_thread() is threading.main_thread()))
+        draw(rngs, walks)
+
+    monkeypatch.setattr(synthgen, "_draw_steps", spy)
+    return parts
+
+
+def use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(synthgen, "_usable_cpus", lambda: cpus)
 
 
 def reference_utterances(spec, role, mapping):
@@ -177,33 +198,44 @@ WALK_CASES = pytest.mark.parametrize("kwargs", [
 class TestBatchedWalk:
     @pytest.mark.parametrize("role", DATASET_ROLES)
     @WALK_CASES
-    def test_bits_equal_scalar_walk(self, kwargs, role, walk_calls):
+    def test_bits_equal_scalar_walk(self, kwargs, role, monkeypatch, walk_calls, draw_parts):
         spec = SynthSpec(n_speakers_per_gender=2, d_xv=2, seed=41, **kwargs)
-        self.check_bits_equal_scalar_walk(spec, role, walk_calls)
+        self.check_bits_equal_scalar_walk(spec, role, monkeypatch, walk_calls, draw_parts)
 
     @pytest.mark.parametrize("role", DATASET_ROLES)
     @WALK_CASES
     def test_bits_equal_scalar_walk_in_blocks_of_4(self, kwargs, role, monkeypatch,
-                                                   walk_calls):
+                                                   walk_calls, draw_parts):
         # With 3 utterances per speaker, blocks of 4 end inside F001 and span
         # F001 -> M000; with 1 per speaker they span 4 speakers.
         spec = SynthSpec(n_speakers_per_gender=2, d_xv=2, seed=41, **kwargs)
         monkeypatch.setattr(synthgen, "WALK_BLOCK_VALUES",
                             4 * spec.frames_per_utt * spec.d_bn)
         assert block_utts(spec) == max(spec.utts_per_speaker, 4)
-        self.check_bits_equal_scalar_walk(spec, role, walk_calls)
+        self.check_bits_equal_scalar_walk(spec, role, monkeypatch, walk_calls, draw_parts)
 
     @staticmethod
-    def check_bits_equal_scalar_walk(spec, role, walk_calls):
-        ds, mapping = generate_synthetic_dataset(spec, role=role)
-        expected = list(reference_utterances(spec, role, mapping))
-        assert len(ds) == len(expected)
-        for utt, (utt_id, bn32, f0) in zip(ds.utterances, expected):
-            assert utt.utt_id == utt_id
-            assert np.array_equal(utt.bn.view(np.uint32), bn32.view(np.uint32))
-            assert np.array_equal(utt.f0.view(np.uint32), f0.view(np.uint32))
-        assert sum(walk_calls) == len(ds)
-        assert max(walk_calls) <= block_utts(spec)
+    def check_bits_equal_scalar_walk(spec, role, monkeypatch, walk_calls, draw_parts):
+        # 5 CPUs exceed the 4 utterances of the blocks of 4, so parts are capped.
+        for cpus in (1, 2, 5):
+            use_cpus(monkeypatch, cpus)
+            walk_calls.clear()
+            draw_parts.clear()
+            ds, mapping = generate_synthetic_dataset(spec, role=role)
+            expected = list(reference_utterances(spec, role, mapping))
+            assert len(ds) == len(expected)
+            for utt, (utt_id, bn32, f0) in zip(ds.utterances, expected):
+                assert utt.utt_id == utt_id
+                assert np.array_equal(utt.bn.view(np.uint32), bn32.view(np.uint32))
+                assert np.array_equal(utt.f0.view(np.uint32), f0.view(np.uint32))
+            assert sum(walk_calls) == len(ds)
+            assert max(walk_calls) <= block_utts(spec)
+            # One non-empty part per CPU, at most one per utterance; the caller
+            # draws one part of every block.
+            assert len(draw_parts) == sum(min(cpus, n) for n in walk_calls)
+            assert all(n > 0 for n, _ in draw_parts)
+            assert sum(n for n, _ in draw_parts) == len(ds)
+            assert sum(on_caller for _, on_caller in draw_parts) == len(walk_calls)
 
     @pytest.mark.parametrize("block_values, expected_calls", [
         (1, [3, 3, 3, 3]),  # a block never holds less than one speaker
@@ -228,6 +260,40 @@ class TestBatchedWalk:
             generate_synthetic_dataset(spec, role=role)
             assert walk_calls == [31, 31, 31, 7]
             assert 31 * 520 * 16 <= synthgen.WALK_BLOCK_VALUES
+
+
+class TestDrawThreads:
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    def test_no_thread_outlives_the_call(self, cpus, monkeypatch, draw_parts):
+        use_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        generate_synthetic_dataset(SynthSpec(n_speakers_per_gender=2, utts_per_speaker=3,
+                                             frames_per_utt=40, d_bn=5, d_xv=2, seed=41))
+        assert threading.active_count() == before
+        assert any(not on_caller for _, on_caller in draw_parts) == (cpus > 1)
+
+    @pytest.mark.parametrize("raise_on_caller", [False, True], ids=["worker", "caller"])
+    def test_draw_error_propagates_and_joins_threads(self, raise_on_caller, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        draw = synthgen._draw_steps
+
+        def failing(rngs, walks):
+            if (threading.current_thread() is threading.main_thread()) == raise_on_caller:
+                raise RuntimeError("draw failed")
+            draw(rngs, walks)
+
+        monkeypatch.setattr(synthgen, "_draw_steps", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            generate_synthetic_dataset(SynthSpec(n_speakers_per_gender=2, utts_per_speaker=3,
+                                                 frames_per_utt=40, d_bn=5, d_xv=2))
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        assert synthgen._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert synthgen._usable_cpus() == os.cpu_count()
 
 
 class TestGroundTruthMapping:
