@@ -45,6 +45,25 @@ cmp "$TMP/eval_a/metrics.csv" "$TMP/eval_b/metrics.csv"
 diff -r "$TMP/anon_synthesis_a" "$TMP/anon_synthesis_b"
 diff -r "$TMP/anon_shift_scale_a" "$TMP/anon_shift_scale_b"
 
+# The test manifest copied to another directory, its three path columns
+# rewritten as absolute paths: eval and anonymize give the same bytes.
+mkdir "$TMP/abs_manifest"
+sed "s|,features/|,$TMP/world_a/test/features/|g" \
+  "$TMP/world_a/test/manifest.csv" > "$TMP/abs_manifest/manifest.csv"
+if grep -q ",features/" "$TMP/abs_manifest/manifest.csv"; then
+  echo "a relative path is left in $TMP/abs_manifest/manifest.csv"; exit 1
+fi
+$F0SYNTH eval --out-dir "$TMP/eval_abs" \
+  --set eval.manifest="$TMP/abs_manifest/manifest.csv" \
+  --set eval.checkpoint="$TMP/run_a/checkpoint.f0md"
+cmp "$TMP/eval_a/metrics.csv" "$TMP/eval_abs/metrics.csv"
+$F0SYNTH anonymize --seed 1 --out-dir "$TMP/anon_shift_scale_abs" \
+  --set anonymize.method=shift_scale \
+  --set anonymize.manifest="$TMP/abs_manifest/manifest.csv" \
+  --set anonymize.pool="$TMP/world_a/pool.csv" \
+  --set anonymize.n=2 --set anonymize.k=1
+diff -r "$TMP/anon_shift_scale_a" "$TMP/anon_shift_scale_abs"
+
 # A negative seed or an n larger than the pool fails before out_dir is made.
 for bad in "--seed -1" "--seed 1 --set anonymize.n=99"; do
   # $bad is split into its options on purpose.

@@ -250,12 +250,11 @@ def assemble_synthesis_inputs(
 def write_pool(pool: SpeakerPool, out_dir: str | Path) -> Path:
     """Write a pool CSV plus per-speaker embedding files under ``out_dir``."""
     out_dir = Path(out_dir)
-    xvec_dir = out_dir / "pool_xvecs"
-    xvec_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "pool_xvecs").mkdir(parents=True, exist_ok=True)
     rows = []
     for e in pool.entries:
         rel = f"pool_xvecs/{e.speaker_id}.xvec"
-        write_feature_file(out_dir / rel, e.xvec)
+        write_feature_file(f"{out_dir}/{rel}", e.xvec)
         rows.append([e.speaker_id, e.gender.value, rel, f"{e.f0_mean:.17g}", f"{e.f0_std:.17g}"])
     return write_csv(out_dir / "pool.csv", POOL_COLUMNS, rows)
 

@@ -390,8 +390,8 @@ def cmd_anonymize(config: RunConfig) -> dict:
             synth_frames += utt.n_frames
         else:
             f0_out = anon.shift_scale_f0(utt.f0, src_stats[utt.speaker_id], pseudo.stats)
-        write_feature_file(f0_dir / f"{utt.utt_id}.f0", f0_out)
-        write_feature_file(xvec_dir / f"{utt.utt_id}.xvec", export_xvec)
+        write_feature_file(f"{f0_dir}/{utt.utt_id}.f0", f0_out)
+        write_feature_file(f"{xvec_dir}/{utt.utt_id}.xvec", export_xvec)
         rho = pitch_correlation(utt.f0, f0_out)
         rhos[utt.utt_id] = rho
         if rho is None or rho < RHO_FLAG_THRESHOLD:

@@ -17,8 +17,9 @@ Feature file format (bit-exact, little-endian):
     payload IEEE-754 binary32 * prod(dims), row-major
 
 Manifest format: CSV with header
-``utt_id,speaker_id,gender,f0_path,bn_path,xvec_path``; relative paths
-are resolved against the manifest's directory.  Ids must pass ``check_id``.
+``utt_id,speaker_id,gender,f0_path,bn_path,xvec_path``; a relative path
+is joined to the manifest's directory as a string, an absolute one is
+kept as written.  Ids must pass ``check_id``.
 Every CSV the package writes goes through ``write_csv`` and reads back
 through ``read_csv``; neither quotes, and the reader strips fields, so every
 field passes ``is_csv_field``.  A reader's error names its file, and the
@@ -191,7 +192,7 @@ def pack_header(magic: bytes, version: int, *fields: int) -> bytes:
     return magic + struct.pack(f"<{len(fields) + 1}I", version, *fields)
 
 
-def unpack_header(path: Path, data: bytes, magic: bytes, version: int,
+def unpack_header(path: str | Path, data: bytes, magic: bytes, version: int,
                   n_fields: int, kind: str) -> list[int]:
     """Check a binary file's magic and u32 version; return the u32 fields after them."""
     if len(data) < 8 + 4 * n_fields or data[:4] != magic:
@@ -202,7 +203,7 @@ def unpack_header(path: Path, data: bytes, magic: bytes, version: int,
     return fields
 
 
-def require_bytes(path: Path, data: bytes, end: int, part: str) -> None:
+def require_bytes(path: str | Path, data: bytes, end: int, part: str) -> None:
     if len(data) < end:
         raise FormatError(f"{path}: truncated {part}")
 
@@ -243,10 +244,11 @@ def pwrite_all(fd: int, data, offset: int) -> None:
 def read_feature_file(path: str | Path) -> np.ndarray:
     """Read a binary feature file, validating header and payload.
 
-    Returns a writable float32 array of the stored rank (1 or 2).
+    Returns a writable float32 array of the stored rank (1 or 2).  The file
+    is taken in one unbuffered read.
     """
-    path = Path(path)
-    data = path.read_bytes()
+    with open(path, "rb", buffering=0) as file:
+        data = file.readall()
     (rank,) = unpack_header(path, data, FEATURE_MAGIC, FEATURE_VERSION, 1, "feature file")
     if rank not in (1, 2):
         raise FormatError(f"{path}: bad rank {rank}")
@@ -281,14 +283,16 @@ def read_csv(path: Path, columns: tuple[str, ...],
              path_columns: tuple[str, ...] = ()):
     """Yield ``(location, fields)`` for each non-blank row of an unquoted CSV.
 
-    The first line must be exactly ``columns``.  Fields are stripped; the
-    ones named in ``path_columns`` become Paths, relative ones resolved
-    against the CSV's directory.  ``location`` is ``path:lineno``.
+    The first line must be exactly ``columns``.  Fields are stripped; a
+    relative field named in ``path_columns`` is joined to the CSV's
+    directory as a string, an absolute one is kept as written.
+    ``location`` is ``path:lineno``.
     """
     lines = read_text(path).splitlines()
     if not lines or tuple(lines[0].strip().split(",")) != columns:
         raise FormatError(f"{path}: header must be {','.join(columns)}")
     path_index = [columns.index(c) for c in path_columns]
+    prefix = os.path.join(os.path.dirname(path), "")
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -296,8 +300,8 @@ def read_csv(path: Path, columns: tuple[str, ...],
         if len(fields) != len(columns):
             raise FormatError(f"{path}:{lineno}: expected {len(columns)} fields")
         for i in path_index:
-            p = Path(fields[i])
-            fields[i] = p if p.is_absolute() else path.parent / p
+            if not os.path.isabs(fields[i]):
+                fields[i] = prefix + fields[i]
         yield f"{path}:{lineno}", fields
 
 
@@ -356,13 +360,12 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     and the manifest references them relatively, so the tree is relocatable.
     """
     out_dir = Path(out_dir)
-    feat_dir = out_dir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "features").mkdir(parents=True, exist_ok=True)
     rows = []
     for utt in dataset.utterances:
         rel = [f"features/{utt.utt_id}.{kind}" for kind in ("f0", "bn", "xvec")]
         for name, values in zip(rel, (utt.f0, utt.bn, utt.xvec)):
-            write_feature_file(out_dir / name, values)
+            write_feature_file(f"{out_dir}/{name}", values)
         rows.append([utt.utt_id, utt.speaker_id, utt.gender.value, *rel])
     return write_csv(out_dir / "manifest.csv", MANIFEST_COLUMNS, rows)
 

@@ -233,12 +233,9 @@ def backward(
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, open interval (0, 1)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
+    denom = 1.0 + ex
+    return np.where(x >= 0, 1.0 / denom, ex / denom)
 
 
 def infer_f0(params: ModelParams, normed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +113,40 @@ class TestFeatureFile:
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             read_feature_file(p)
+
+    @pytest.mark.parametrize("case", ["valid", "bad_magic", "bad_rank", "short_header",
+                                      "short_payload", "oversized", "non_finite", "missing",
+                                      "directory"])
+    def test_str_and_path_read_alike(self, tmp_path, case):
+        p = tmp_path / "x.bn"
+        write_feature_file(p, np.arange(6, dtype=np.float32).reshape(3, 2))
+        raw = bytearray(p.read_bytes())
+        edits = {
+            "bad_magic": lambda: b"XXXX" + raw[4:],
+            "bad_rank": lambda: raw[:8] + b"\x03" + raw[9:],
+            "short_header": lambda: raw[:16],
+            "short_payload": lambda: raw[:-4],
+            "oversized": lambda: raw + bytes(4),
+            "non_finite": lambda: raw[:-4] + np.array([np.inf], dtype="<f4").tobytes(),
+        }
+        if case in edits:
+            p.write_bytes(bytes(edits[case]()))
+        elif case != "valid":
+            p.unlink()
+            if case == "directory":
+                p.mkdir()
+        results = []
+        for arg in (p, str(p)):
+            try:
+                results.append(read_feature_file(arg))
+            except (FormatError, OSError) as exc:
+                results.append((type(exc), str(exc)))
+        by_path, by_str = results
+        if case == "valid":
+            assert np.array_equal(by_path, by_str) and by_str.flags.writeable
+            assert by_str.dtype == np.float32 and by_str.shape == (3, 2)
+        else:
+            assert by_path == by_str and str(p) in by_str[1]
 
     def test_rank3_write_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -323,6 +358,39 @@ class TestManifest:
         assert back.utterances[1].gender is Gender.M
         assert np.array_equal(back.utterances[0].f0, ds.utterances[0].f0)
         assert np.array_equal(back.utterances[1].bn, ds.utterances[1].bn)
+
+    def test_path_fields_joined_to_csv_directory_as_strings(self, tmp_path, monkeypatch):
+        columns = ("a", "p", "q")
+        path = write_csv(tmp_path / "sub" / "t.csv", columns,
+                         [["u0", "features/u0.f0", "/abs//u0.bn"]])
+        [(where, fields)] = read_csv(path, columns, ("p", "q"))
+        assert where == f"{path}:2"
+        assert fields == ["u0", f"{tmp_path}/sub/features/u0.f0", "/abs//u0.bn"]
+        assert all(type(field) is str for field in fields)
+        monkeypatch.chdir(tmp_path / "sub")
+        [(_, fields)] = read_csv(Path("t.csv"), columns, ("p",))
+        assert fields == ["u0", "features/u0.f0", "/abs//u0.bn"]
+
+    def test_moved_manifest_with_absolute_paths_loads_same_arrays(self, tmp_path):
+        ds = Dataset([make_utt("u0"), make_utt("u1", "s1", Gender.M, bn=np.ones((3, 2)))])
+        manifest = write_dataset(ds, tmp_path / "world")
+        moved = tmp_path / "elsewhere" / "manifest.csv"
+        moved.parent.mkdir()
+        text = manifest.read_text().replace(",features/", f",{tmp_path}/world/features/")
+        assert text.count(f",{tmp_path}/") == 6
+        moved.write_text(text)
+        for want, got in zip(load_manifest(manifest).utterances,
+                             load_manifest(moved).utterances):
+            for name in ("f0", "bn", "xvec"):
+                assert np.array_equal(getattr(want, name), getattr(got, name))
+
+    def test_missing_absolute_path_named_as_written(self, tmp_path):
+        manifest = write_dataset(Dataset([make_utt()]), tmp_path / "world")
+        absent = f"{tmp_path}/gone//u0.bn"
+        manifest.write_text(manifest.read_text().replace("features/u0.bn", absent))
+        with pytest.raises(FileNotFoundError,
+                           match=f"^{re.escape(f'{manifest}:2: missing feature file {absent}')}$"):
+            load_manifest(manifest)
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "manifest.csv"

@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -386,7 +387,32 @@ class TestWorkspaceOracle:
             assert_bits_equal(a, b)
 
 
+def two_branch_sigmoid(x):
+    """Reference: 1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class TestSigmoid:
+    def test_bits_equal_two_branch_formula(self):
+        rng = np.random.default_rng(20)
+        special = [0.0, -0.0, 5e-324, -5e-324, 709.0, -709.0, 745.0, -745.0, 1e308, -1e308]
+        x = np.concatenate([special, rng.standard_normal(1000) * 10,
+                            rng.uniform(-800.0, 800.0, 1000)])
+        for inputs in (x, x.reshape(-1, 2), np.float64(-3.5), np.float64(0.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = sigmoid(inputs)
+            want = two_branch_sigmoid(inputs)
+            assert_bits_equal(got, want)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_stable_at_extreme_logits(self):
         out = sigmoid(np.array([-800.0, 0.0, 800.0]))
         assert 0.0 < out[0] < 1e-300 or out[0] == 0.0  # underflow acceptable at -800
