@@ -40,6 +40,7 @@ from .featureio import (
     Dataset,
     Gender,
     assemble_features,
+    at_row,
     build_frame_table,
     is_csv_field,
     load_manifest,
@@ -206,28 +207,20 @@ def build_config(
 # command bodies (pure-ish: config in, result out, files under out_dir)
 # ---------------------------------------------------------------------------
 
-def input_width(dataset: Dataset) -> int:
-    """A manifest's model input width: d_xv + d_bn, shared by all its utterances."""
-    utt = dataset.utterances[0]
-    return len(utt.xvec) + utt.bn.shape[1]
-
-
 def load_matching_checkpoint(path: str, dataset: Dataset):
     """Load a checkpoint's params; its input width must be the data's d_xv + d_bn."""
     params, _ = load_checkpoint(path)
-    width = input_width(dataset)
-    if params.input_dim != width:
+    if params.input_dim != dataset.input_width:
         raise ValueError(f"{path}: checkpoint input width {params.input_dim} != "
-                         f"d_xv + d_bn = {width} of the manifest")
+                         f"d_xv + d_bn = {dataset.input_width} of the manifest")
     return params
 
 
 def load_validation(path: str, width: int) -> Dataset:
     """Load a validation manifest; its d_xv + d_bn must be the train table's ``width``."""
     dataset = load_manifest(path)
-    got = input_width(dataset)
-    if got != width:
-        raise ValueError(f"{path}: d_xv + d_bn = {got} of the validation manifest "
+    if dataset.input_width != width:
+        raise ValueError(f"{path}: d_xv + d_bn = {dataset.input_width} of the validation manifest "
                          f"!= {width} of the train manifest")
     return dataset
 
@@ -302,16 +295,7 @@ def cmd_eval(config: RunConfig) -> dict:
         pred = {u.utt_id: predict_f0(params, u.features())[0]
                 for u in truth_ds.utterances}
     else:
-        pred_ds = load_manifest(pred_manifest)
-        pred = {u.utt_id: u.f0 for u in pred_ds.utterances}
-        missing, extra = sorted(truth.keys() - pred.keys()), sorted(pred.keys() - truth.keys())
-        if missing or extra:
-            raise ValueError(f"{pred_manifest}: utt_ids differ from the truth manifest "
-                             f"(missing {missing[:5]}, extra {extra[:5]})")
-        for utt_id, f0 in pred.items():
-            if len(f0) != len(truth[utt_id]):
-                raise ValueError(f"{pred_manifest}: utterance {utt_id!r} has {len(f0)} "
-                                 f"frames, {len(truth[utt_id])} in the truth manifest")
+        pred = {u.utt_id: u.f0 for u in load_manifest(pred_manifest).utterances}
 
     groups: list[tuple[str, set[str]]] = []
     for gender in (Gender.F, Gender.M):
@@ -322,7 +306,8 @@ def cmd_eval(config: RunConfig) -> dict:
 
     reports: dict[str, MetricsReport] = {}
     rows = []
-    scores = score_utterances(pred, truth)  # once each; "all" pools them again
+    with at_row(pred_manifest or checkpoint):
+        scores = score_utterances(pred, truth)  # once each; "all" pools them again
     for sex, ids in groups:
         report = pool_scores({k: scores[k] for k in ids})
         reports[sex] = report
@@ -450,7 +435,7 @@ def _add_command(name: str, body, help_text: str) -> None:
     def command(config_path, overrides, seed, out_dir):
         try:
             body(build_config(config_path, overrides, seed, out_dir))
-        except (ValueError, OSError, KeyError) as exc:
+        except (ValueError, OSError) as exc:
             click.echo(f"error: {str(exc) or exc.__class__.__name__}", err=True)
             sys.exit(1)
 

@@ -69,10 +69,11 @@ def is_csv_field(value: str) -> bool:
 
 
 def check_id(kind: str, value: str) -> None:
-    """Reject an id that cannot be one CSV field and one file name."""
-    if not value or "/" in value or "\\" in value or not is_csv_field(value):
-        raise ValueError(f"{kind} {value!r} must be non-empty and contain no "
-                         f"'/', '\\', ',', line break or outer space")
+    """Reject an id that cannot be one CSV field and, as ``<id>.xvec``, one file name."""
+    if (not value or "/" in value or "\\" in value or "\0" in value
+            or not is_csv_field(value) or len(f"{value}.xvec".encode()) > 255):
+        raise ValueError(f"{kind} {value!r} must be non-empty, contain no '/', '\\', ',', NUL, "
+                         f"line break or outer space, and fit a 255-byte '<id>.xvec'")
 
 
 class Gender(Enum):
@@ -158,16 +159,28 @@ def assemble_features(xvec: np.ndarray, bn: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """An ordered collection of utterances with unique ids."""
+    """An ordered collection of utterances with unique ids, one bn width and
+    one xvec width; ``append`` checks each utterance against them."""
 
     utterances: list[Utterance]
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for utt in self.utterances:
-            if utt.utt_id in seen:
-                raise ValueError(f"duplicate utt_id {utt.utt_id!r} in dataset")
-            seen.add(utt.utt_id)
+        utterances, self.utterances, self._ids = self.utterances, [], set()
+        for utt in utterances:
+            self.append(utt)
+
+    def append(self, utt: Utterance) -> None:
+        if utt.utt_id in self._ids:
+            raise ValueError(f"duplicate utt_id {utt.utt_id!r} in dataset")
+        if self.utterances:
+            first = self.utterances[0]
+            for name, got, want in (("bn", utt.bn.shape[1], first.bn.shape[1]),
+                                    ("xvec", len(utt.xvec), len(first.xvec))):
+                if got != want:
+                    raise ValueError(f"utterance {utt.utt_id!r}: {name} dimension "
+                                     f"{got} != {want} of the first utterance")
+        self._ids.add(utt.utt_id)
+        self.utterances.append(utt)
 
     def __len__(self) -> int:
         return len(self.utterances)
@@ -181,6 +194,12 @@ class Dataset:
     @property
     def total_frames(self) -> int:
         return sum(u.n_frames for u in self.utterances)
+
+    @property
+    def input_width(self) -> int:
+        """The model input width d_xv + d_bn that every utterance shares."""
+        first = self.utterances[0]
+        return len(first.xvec) + first.bn.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -326,31 +345,20 @@ def write_csv(path: str | Path, columns: tuple[str, ...], rows) -> Path:
 def load_manifest(path: str | Path) -> Dataset:
     """Load every utterance referenced by a manifest, in manifest order.
 
-    Relative feature paths resolve against the manifest's directory.  Every
-    utterance must have the bn and xvec dimensions of the first, and a
-    unique utt_id, and there must be at least one.  An error in a row
-    names it as ``path:lineno``.
+    Relative feature paths resolve against the manifest's directory.  Each
+    row is added to the ``Dataset`` as it is read, so an error in a row,
+    the ``Dataset`` rules included, names it as ``path:lineno``.  There
+    must be at least one row.
     """
-    utterances: list[Utterance] = []
+    dataset = Dataset([])
     rows = read_csv(Path(path), MANIFEST_COLUMNS, ("f0_path", "bn_path", "xvec_path"))
-    seen: set[str] = set()
     for where, (utt_id, speaker_id, gender_tok, *paths) in rows:
         with at_row(where):
-            if utt_id in seen:
-                raise ValueError(f"duplicate utt_id {utt_id!r}")
-            seen.add(utt_id)
-            utt = Utterance(utt_id, speaker_id, Gender.parse(gender_tok),
-                            *(read_feature_file(p) for p in paths))
-            first = utterances[0] if utterances else utt
-            for name, got, want in (("bn", utt.bn.shape[1], first.bn.shape[1]),
-                                    ("xvec", len(utt.xvec), len(first.xvec))):
-                if got != want:
-                    raise ValueError(f"utterance {utt_id!r}: {name} dimension "
-                                     f"{got} != {want} of the first row")
-        utterances.append(utt)
-    if not utterances:
+            dataset.append(Utterance(utt_id, speaker_id, Gender.parse(gender_tok),
+                                     *(read_feature_file(p) for p in paths)))
+    if not dataset.utterances:
         raise FormatError(f"{path}: empty dataset, the manifest has no rows")
-    return Dataset(utterances)
+    return dataset
 
 
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
@@ -399,9 +407,8 @@ def build_frame_table(dataset: Dataset) -> FrameTable:
     """
     if not dataset.utterances:
         raise ValueError("cannot build a frame table from an empty dataset")
-    first = dataset.utterances[0]
-    d_xv = len(first.xvec)
-    rows = np.empty((dataset.total_frames, d_xv + first.bn.shape[1]), dtype=np.float32)
+    d_xv = len(dataset.utterances[0].xvec)
+    rows = np.empty((dataset.total_frames, dataset.input_width), dtype=np.float32)
     end = 0
     for utt in dataset.utterances:
         end += utt.n_frames

@@ -187,13 +187,20 @@ def score_utterances(pred: dict, truth: dict) -> dict[str, tuple[FrameCounts, fl
     """Score matching utt_id -> trajectory mappings, each utterance once.
 
     Returns utt_id -> ``(pitch_error_counts, pitch_correlation)``, the
-    records ``pool_scores`` pools.
+    records ``pool_scores`` pools.  An error lists up to five ids missing
+    from ``pred`` and five extra, or names the utterance it fails on.
     """
-    if set(pred) != set(truth):
-        missing = set(truth) ^ set(pred)
-        raise ValueError(f"unmatched utt_ids: {sorted(missing)[:5]}")
-    return {utt_id: (pitch_error_counts(pred[utt_id], t), pitch_correlation(pred[utt_id], t))
-            for utt_id, t in truth.items()}
+    missing, extra = sorted(truth.keys() - pred.keys()), sorted(pred.keys() - truth.keys())
+    if missing or extra:
+        raise ValueError(f"unmatched utt_ids (missing {missing[:5]}, extra {extra[:5]})")
+    scores = {}
+    for utt_id, t in truth.items():
+        try:
+            scores[utt_id] = (pitch_error_counts(pred[utt_id], t),
+                              pitch_correlation(pred[utt_id], t))
+        except ValueError as exc:
+            raise ValueError(f"utterance {utt_id!r}: {exc}") from None
+    return scores
 
 
 def pool_scores(scores: dict[str, tuple[FrameCounts, float | None]]) -> MetricsReport:

@@ -85,7 +85,8 @@ class ModelParams:
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {i}: non-finite parameter")
         if self.weights[-1].shape[0] != OUTPUT_UNITS:
-            raise ValueError(f"output layer must have {OUTPUT_UNITS} units")
+            raise ValueError(f"output layer has {self.weights[-1].shape[0]} units, "
+                             f"must have {OUTPUT_UNITS}")
 
     @property
     def input_dim(self) -> int:
@@ -265,11 +266,8 @@ def predict_f0(params: ModelParams, features_raw: np.ndarray) -> tuple[np.ndarra
 
 def save_checkpoint(path: str | Path, params: ModelParams, dropout: float = 0.0) -> None:
     """Serialize params (and the dropout setting) to the binary format above."""
-    dims = [w.shape[0] for w in params.weights]
-    if dims[-1] != OUTPUT_UNITS:
-        raise ValueError("checkpoint requires the 2-unit output layer")
-    blob = bytearray(pack_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                                 params.n_layers, params.input_dim, *dims))
+    blob = bytearray(pack_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.n_layers,
+                                 params.input_dim, *(w.shape[0] for w in params.weights)))
     blob += struct.pack("<d", dropout)
     norm = params.norm
     blob += np.ascontiguousarray(norm.input_mean, dtype="<f8").tobytes()
@@ -315,8 +313,6 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig]:
         in_dim = out_dim
     if off != len(data):
         raise FormatError(f"{path}: trailing bytes after payload")
-    if dims[-1] != OUTPUT_UNITS:
-        raise FormatError(f"{path}: output layer width {dims[-1]} != {OUTPUT_UNITS}")
     with at_row(path):
         norm = NormStats(input_mean, input_std, float(logf0_mean), float(logf0_std))
         return (ModelParams(weights, biases, norm),

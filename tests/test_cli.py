@@ -8,6 +8,7 @@ import typing
 import weakref
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -37,7 +38,7 @@ from f0synth.featureio import (
     write_dataset,
     write_feature_file,
 )
-from f0synth import metrics
+from f0synth import cli, metrics
 from f0synth.metrics import REPORT_COLUMNS, evaluate_utterances, report_csv_row
 from f0synth.model import ModelConfig, ModelParams, load_checkpoint, predict_f0, save_checkpoint
 from f0synth.synthgen import DATASET_ROLES, SynthSpec
@@ -560,8 +561,7 @@ class TestEvalCommand:
         assert (len(missing), len(extra)) == ((5, 0) if kept else (0, 2))
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=re.escape(
-                f"{pred}: utt_ids differ from the truth manifest "
-                f"(missing {missing}, extra {extra})")):
+                f"{pred}: unmatched utt_ids (missing {missing}, extra {extra})")):
             cmd_eval(config_for(out, **{"eval.manifest": truth, "eval.pred_manifest": pred}))
         assert not out.exists()
 
@@ -573,8 +573,8 @@ class TestEvalCommand:
         pred = write_dataset(Dataset(utts), tmp_path / "pred")
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=re.escape(
-                f"{pred}: utterance '{short.utt_id}' has 100 frames, "
-                f"{len(short.f0)} in the truth manifest")):
+                f"{pred}: utterance '{short.utt_id}': length mismatch: "
+                f"pred 100 vs truth {len(short.f0)}")):
             cmd_eval(config_for(out, **{"eval.manifest": truth, "eval.pred_manifest": pred}))
         assert not out.exists()
 
@@ -894,6 +894,24 @@ class TestAnonymizeCommand:
                                              "anonymize.n": 2, "anonymize.k": 2}))
         assert not list(tmp_path.rglob("escaped*"))
 
+    @pytest.mark.parametrize("bad_id", ["F000_test\x00x", "F" * 300], ids=["nul", "too_long"])
+    def test_id_unfit_for_a_file_name_fails_at_its_line(self, tmp_path, world_dir, bad_id):
+        # The three roles' 54 rows; row 51, on line 52, holds an id that names no file.
+        rows = absolute_rows(world_dir / "train" / "manifest.csv")
+        for role in ("validation", "test"):
+            rows += absolute_rows(world_dir / role / "manifest.csv")[1:]
+        rows[51] = bad_id + rows[51][rows[51].index(","):]
+        manifest = write_manifest(tmp_path / "in" / "manifest.csv", rows)
+        out = tmp_path / "anon"
+        result = CliRunner().invoke(main, [
+            "anonymize", "--out-dir", str(out),
+            "--set", f"anonymize.manifest={manifest}",
+            "--set", f"anonymize.pool={world_dir / 'pool.csv'}",
+            "--set", "anonymize.method=shift_scale",
+            "--set", "anonymize.n=2", "--set", "anonymize.k=2"])
+        assert result.exit_code == 1
+        assert f"error: {manifest}:52: utt_id {bad_id!r}" in result.output
+        assert not out.exists()
 
     def test_zero_source_xvec_fails_before_writing(self, tmp_path, world_dir):
         zero_xvec_fails_before_writing(tmp_path, world_dir, row=4)
@@ -977,6 +995,21 @@ class TestCliEntrypoints:
         assert result.exit_code == 1
         assert "error: config key 'seed': -1 is not a non-negative integer" in result.output
         assert not out.exists()
+
+    def test_only_bad_input_becomes_exit_1(self, monkeypatch):
+        def bad_input(config):
+            raise ValueError("bad input")
+
+        def bug(config):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "main", click.Group())
+        cli._add_command("bad-input", bad_input, "Fails on its input.")
+        cli._add_command("bug", bug, "Fails with a bug.")
+        result = CliRunner().invoke(cli.main, ["bad-input"])
+        assert (result.exit_code, result.output) == (1, "error: bad input\n")
+        with pytest.raises(KeyError, match="x"):
+            CliRunner().invoke(cli.main, ["bug"], catch_exceptions=False)
 
     def test_unknown_key_via_set_fails(self, tmp_path):
         runner = CliRunner()

@@ -308,7 +308,8 @@ class TestUtterance:
             make_utt(xvec=np.array([np.nan, 1.0], dtype=np.float32))
 
     @pytest.mark.parametrize("bad", ["", "../../escaped", "a\\b", "a,b", "a\nb", "a\rb",
-                                     " a", "a ", "a\tb\t", "a\x85b", "a\u2028b"])
+                                     " a", "a ", "a\tb\t", "a\x85b", "a\u2028b", "a\x00b",
+                                     "x" * 251, "\u00e9" * 126])
     def test_ids_unfit_for_csv_or_file_name_rejected(self, bad):
         with pytest.raises(ValueError, match="utt_id"):
             make_utt(utt_id=bad)
@@ -338,6 +339,21 @@ class TestDataset:
     def test_duplicate_utt_id_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Dataset([make_utt("u0"), make_utt("u0")])
+
+    @pytest.mark.parametrize("second, words", [
+        (dict(bn=np.zeros((3, 5), dtype=np.float32)), "utterance 'u2': bn dimension 5 != 2"),
+        (dict(xvec=np.zeros(3, dtype=np.float32)), "utterance 'u2': xvec dimension 3 != 2"),
+    ], ids=["bn", "xvec"])
+    def test_mixed_widths_rejected_when_built(self, second, words):
+        with pytest.raises(ValueError, match=re.escape(words)):
+            Dataset([make_utt("u0"), make_utt("u1"), make_utt("u2", **second)])
+        dataset = Dataset([make_utt("u0")])
+        with pytest.raises(ValueError, match=re.escape(words)):
+            dataset.append(make_utt("u2", **second))
+        assert [u.utt_id for u in dataset.utterances] == ["u0"]
+
+    def test_input_width_is_shared_xvec_plus_bn(self):
+        assert Dataset([make_utt("u0"), make_utt("u1")]).input_width == 4
 
     def test_by_speaker_groups_in_order(self):
         d = Dataset([make_utt("u0", "s1"), make_utt("u1", "s0"), make_utt("u2", "s1")])
@@ -431,8 +447,8 @@ class TestManifest:
             load_manifest(manifest)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
-        ds = Dataset([make_utt("u0"), make_utt("u1", bn=np.zeros((3, 5), dtype=np.float32))])
-        manifest = write_dataset(ds, tmp_path)
+        manifest = write_dataset(Dataset([make_utt("u0"), make_utt("u1")]), tmp_path)
+        write_feature_file(tmp_path / "features" / "u1.bn", np.zeros((3, 5), dtype=np.float32))
         with pytest.raises(ValueError, match="dimension"):
             load_manifest(manifest)
 
@@ -454,7 +470,9 @@ class TestManifest:
     ], ids=["utt_id", "speaker_id", "bn_width", "xvec_width", "gender", "duplicate_utt_id",
             "rank"])
     def test_row_error_names_manifest_line(self, tmp_path, second, edit, words):
-        manifest = write_dataset(Dataset([make_utt("u0"), make_utt("u1", **second)]), tmp_path)
+        manifest = write_dataset(Dataset([make_utt("u0"), make_utt("u1")]), tmp_path)
+        for kind, values in second.items():  # a width no Dataset can hold
+            write_feature_file(tmp_path / "features" / f"u1.{kind}", values)
         if edit is not None:
             text = manifest.read_text()
             assert edit[0] in text

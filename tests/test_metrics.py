@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,25 @@ class TestEvaluateUtterances:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate_utterances({}, {})
+
+    def test_unmatched_ids_listed_as_missing_and_extra(self):
+        truth = {f"u{i}": np.ones(2) for i in range(8)}
+        pred = {f"u{i}": np.ones(2) for i in range(1, 7)} | {"x1": np.ones(2), "x0": np.ones(2)}
+        with pytest.raises(ValueError, match=re.escape(
+                "unmatched utt_ids (missing ['u0', 'u7'], extra ['x0', 'x1'])")):
+            score_utterances(pred, truth)
+        many = {f"v{i}": np.ones(2) for i in range(9)}
+        with pytest.raises(ValueError, match=re.escape(
+                "(missing ['u0', 'u1', 'u2', 'u3', 'u4'], "
+                "extra ['v0', 'v1', 'v2', 'v3', 'v4'])")):
+            score_utterances(many, truth)
+
+    def test_length_mismatch_names_utterance_and_both_counts(self):
+        truth = {"u0": np.ones(4), "u1": np.ones(5)}
+        pred = {"u0": np.ones(4), "u1": np.ones(3)}
+        with pytest.raises(ValueError, match=re.escape(
+                "utterance 'u1': length mismatch: pred 3 vs truth 5")):
+            score_utterances(pred, truth)
 
 
 class TestReportFormatting:

@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from f0synth.featureio import FormatError, NormStats
+from f0synth.featureio import FormatError, NormStats, pack_header
 from f0synth.model import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     ForwardCache,
     Gradients,
     ModelConfig,
@@ -505,6 +507,18 @@ class TestCheckpoint:
         struct.pack_into("<d", data, offset_of(params.n_layers), value)
         p.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=re.escape(f"{p}: {words}")):
+            load_checkpoint(p)
+
+    def test_head_of_other_width_names_checkpoint(self, tmp_path):
+        # save_checkpoint takes only a valid ModelParams, so the file is built by hand.
+        rng = np.random.default_rng(0)
+        p = tmp_path / "m.f0md"
+        p.write_bytes(pack_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 1, 4, 3)
+                      + struct.pack("<d", 0.0) + np.zeros(4).tobytes() + np.ones(4).tobytes()
+                      + struct.pack("<dd", 5.0, 0.25)
+                      + rng.normal(size=(3, 4)).tobytes() + np.zeros(3).tobytes())
+        with pytest.raises(FormatError,
+                           match=re.escape(f"{p}: output layer has 3 units, must have 2")):
             load_checkpoint(p)
 
     def test_trailing_bytes_rejected(self, tmp_path):
