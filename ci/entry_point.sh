@@ -8,7 +8,14 @@
 set -euo pipefail
 
 F0SYNTH=${F0SYNTH:-f0synth}
-TMP=${RUNNER_TEMP:-$(mktemp -d)}
+# Outputs go under $RUNNER_TEMP when it is set; otherwise under a new
+# temporary directory, removed on exit.
+if [ -n "${RUNNER_TEMP:-}" ]; then
+  TMP=$RUNNER_TEMP
+else
+  TMP=$(mktemp -d)
+  trap 'rm -rf "$TMP"' EXIT
+fi
 
 $F0SYNTH --version
 $F0SYNTH --help

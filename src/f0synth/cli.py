@@ -25,14 +25,13 @@ Outputs per command (under out_dir):
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import sys
 import time
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-
-import click
 
 from . import __version__
 from . import anonymize as anon
@@ -86,7 +85,8 @@ class RunConfig:
         return self.values.get(key, default)
 
     def require(self, key: str) -> str:
-        if key not in self.values:
+        """The key's value; a key that is unset or set empty raises ``ConfigError``."""
+        if not self.values.get(key):
             raise ConfigError(f"missing required config key {key!r}")
         return self.values[key]
 
@@ -238,11 +238,11 @@ def cmd_synthgen(config: RunConfig) -> dict:
         if role == "train":
             pool = anon.pool_from_dataset(dataset)
         manifests[role] = write_dataset(dataset, out_dir / role)
-        click.echo(f"{role}: {manifests[role]} ({len(dataset)} utterances, "
-                   f"{dataset.total_frames} frames)")
+        print(f"{role}: {manifests[role]} ({len(dataset)} utterances, "
+              f"{dataset.total_frames} frames)")
         del dataset
     pool_path = anon.write_pool(pool, out_dir)
-    click.echo(f"pool: {pool_path} ({2 * spec.n_speakers_per_gender} speakers)")
+    print(f"pool: {pool_path} ({2 * spec.n_speakers_per_gender} speakers)")
     return {"manifests": manifests, "pool": pool_path}
 
 
@@ -263,10 +263,10 @@ def cmd_train(config: RunConfig) -> dict:
     save_checkpoint(checkpoint, params, dropout=model_config.dropout)
     history_path = write_csv(out_dir / "history.csv", HISTORY_COLUMNS, history.csv_rows())
     best = history.best_val_metric
-    click.echo(f"checkpoint: {checkpoint}")
-    click.echo(f"history: {history_path} ({len(history)} epochs)")
-    click.echo("best val_metric: "
-               + (f"{best:.6f}" if best is not None else "n/a (0 epochs)"))
+    print(f"checkpoint: {checkpoint}")
+    print(f"history: {history_path} ({len(history)} epochs)")
+    print("best val_metric: "
+          + (f"{best:.6f}" if best is not None else "n/a (0 epochs)"))
     return {"checkpoint": checkpoint, "history": history_path,
             "best_val_metric": best}
 
@@ -279,8 +279,8 @@ def cmd_eval(config: RunConfig) -> dict:
     (compare stored trajectories utterance by utterance).
     """
     truth_manifest = config.require("eval.manifest")
-    checkpoint = config.get("eval.checkpoint")
-    pred_manifest = config.get("eval.pred_manifest")
+    checkpoint = config.get("eval.checkpoint") or None  # set empty counts as unset
+    pred_manifest = config.get("eval.pred_manifest") or None
     if (checkpoint is None) == (pred_manifest is None):
         raise ConfigError(
             "set exactly one of eval.checkpoint or eval.pred_manifest")
@@ -313,8 +313,8 @@ def cmd_eval(config: RunConfig) -> dict:
         reports[sex] = report
         rows.append(report_csv_row(dataset_name, sex, report))
     metrics_path = write_csv(out_dir / "metrics.csv", REPORT_COLUMNS, rows)
-    click.echo(metrics_path.read_text(encoding="utf-8"), nl=False)
-    click.echo(f"metrics: {metrics_path}")
+    print(metrics_path.read_text(encoding="utf-8"), end="")
+    print(f"metrics: {metrics_path}")
     return {"metrics": metrics_path, "reports": reports}
 
 
@@ -382,8 +382,8 @@ def cmd_anonymize(config: RunConfig) -> dict:
         if rho is None or rho < RHO_FLAG_THRESHOLD:
             flagged.append(utt.utt_id)
             shown = "absent" if rho is None else f"{rho:.3f}"
-            click.echo(f"FLAGGED {utt.utt_id}: rho_f0 {shown} "
-                       f"(threshold {RHO_FLAG_THRESHOLD})")
+            print(f"FLAGGED {utt.utt_id}: rho_f0 {shown} "
+                  f"(threshold {RHO_FLAG_THRESHOLD})")
         log_rows.append([utt.utt_id, mode.value, ";".join(pseudo.chosen_ids),
                          f"{pseudo.stats.mean:.10g}", f"{pseudo.stats.std:.10g}"])
 
@@ -391,59 +391,52 @@ def cmd_anonymize(config: RunConfig) -> dict:
     log_path = write_csv(out_dir / "anon_log.csv", ANON_LOG_COLUMNS, log_rows)
     frames_per_second = synth_frames / synth_seconds if synth_seconds > 0 else None
     loop_frames_per_second = sources.total_frames / loop_seconds
-    click.echo(f"anonymized {len(sources)} utterances "
-               f"({method}, mode {mode.value}) -> {f0_dir}")
-    click.echo(f"log: {log_path}")
-    click.echo(f"flagged: {len(flagged)} of {len(sources)} utterances "
-               f"below rho_f0 {RHO_FLAG_THRESHOLD}")
-    click.echo(f"anonymize throughput (per-utterance loop: {method}, writes, rho_f0): "
-               f"{loop_frames_per_second:.0f} frames/s")
+    print(f"anonymized {len(sources)} utterances "
+          f"({method}, mode {mode.value}) -> {f0_dir}")
+    print(f"log: {log_path}")
+    print(f"flagged: {len(flagged)} of {len(sources)} utterances "
+          f"below rho_f0 {RHO_FLAG_THRESHOLD}")
+    print(f"anonymize throughput (per-utterance loop: {method}, writes, rho_f0): "
+          f"{loop_frames_per_second:.0f} frames/s")
     if frames_per_second is not None:
-        click.echo(f"synthesis throughput (predict_f0 only): {frames_per_second:.0f} frames/s")
+        print(f"synthesis throughput (predict_f0 only): {frames_per_second:.0f} frames/s")
     return {"log": log_path, "rhos": rhos, "flagged": flagged,
             "frames_per_second": frames_per_second,
             "loop_frames_per_second": loop_frames_per_second, "f0_dir": f0_dir,
             "xvec_dir": xvec_dir}
 
 
-# ---------------------------------------------------------------------------
-# click wiring
-# ---------------------------------------------------------------------------
-
-def _common_options(fn):
-    fn = click.option("--config", "config_path", type=str, default=None,
-                      help="Path to a flat key=value config file.")(fn)
-    fn = click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
-                      help="Override one config key (repeatable).")(fn)
-    fn = click.option("--seed", type=int, default=None,
-                      help="Shortcut for the seed key.")(fn)
-    fn = click.option("--out-dir", type=str, default=None,
-                      help="Shortcut for the out_dir key.")(fn)
-    return fn
+COMMANDS = {"synthgen": cmd_synthgen, "train": cmd_train, "eval": cmd_eval,
+            "anonymize": cmd_anonymize}
 
 
-@click.group()
-@click.version_option(version=__version__)
-def main():
-    """Framewise F0 synthesis and modification toolkit."""
+def main(argv: list[str] | None = None) -> None:
+    """Framewise F0 synthesis and modification toolkit.
 
-
-def _add_command(name: str, body, help_text: str) -> None:
-    """Register ``body`` as a subcommand that exits 1 with ``error: ...`` on bad input."""
-    @main.command(name, help=help_text)
-    @_common_options
-    def command(config_path, overrides, seed, out_dir):
-        try:
-            body(build_config(config_path, overrides, seed, out_dir))
-        except (ValueError, OSError) as exc:
-            click.echo(f"error: {str(exc) or exc.__class__.__name__}", err=True)
-            sys.exit(1)
-
-
-_add_command("synthgen", cmd_synthgen, "Generate a synthetic corpus and pool file.")
-_add_command("train", cmd_train, "Train the F0 synthesis network.")
-_add_command("eval", cmd_eval, "Evaluate predictions against a truth manifest.")
-_add_command("anonymize", cmd_anonymize, "Anonymize utterances against an embedding pool.")
+    Runs one command of ``COMMANDS`` on ``argv`` (default ``sys.argv[1:]``).
+    Bad input exits 1 with ``error: ...`` on stderr; a usage error exits 2.
+    """
+    parser = argparse.ArgumentParser(prog="f0synth", description=main.__doc__.splitlines()[0],
+                                     allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, body in COMMANDS.items():
+        summary = body.__doc__.splitlines()[0]
+        command = commands.add_parser(name, help=summary, description=summary,
+                                      allow_abbrev=False)
+        command.add_argument("--config", dest="config_path", metavar="PATH",
+                             help="Path to a flat key=value config file.")
+        command.add_argument("--set", dest="overrides", action="append", default=[],
+                             metavar="KEY=VALUE", help="Override one config key (repeatable).")
+        command.add_argument("--seed", type=int, help="Shortcut for the seed key.")
+        command.add_argument("--out-dir", help="Shortcut for the out_dir key.")
+    args = parser.parse_args(argv)
+    try:
+        COMMANDS[args.command](build_config(args.config_path, args.overrides, args.seed,
+                                            args.out_dir))
+    except (ValueError, OSError) as exc:
+        print(f"error: {str(exc) or exc.__class__.__name__}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

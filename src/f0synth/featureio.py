@@ -327,16 +327,18 @@ def read_csv(path: Path, columns: tuple[str, ...],
 def write_csv(path: str | Path, columns: tuple[str, ...], rows) -> Path:
     """Write the header and one comma-joined line per row; ``read_csv`` inverse.
 
-    A row of the wrong width, or a field that fails ``is_csv_field``,
-    raises before the file or its directory is made.  Returns ``path``.
+    A row of the wrong width, a field that fails ``is_csv_field``, or a
+    row that would be a blank line (one empty field), raises before the
+    file or its directory is made.  Returns ``path``.
     """
     path = Path(path)
     lines = [",".join(columns)]
     for row in rows:
-        if len(row) != len(columns) or not all(map(is_csv_field, row)):
-            raise ValueError(f"{path}: row {row} is not {len(columns)} fields free of "
-                             f"',', line breaks and outer spaces, not written")
-        lines.append(",".join(row))
+        line = ",".join(row)
+        if not line or len(row) != len(columns) or not all(map(is_csv_field, row)):
+            raise ValueError(f"{path}: row {row} is not a non-blank line of {len(columns)} "
+                             f"fields free of ',', line breaks and outer spaces, not written")
+        lines.append(line)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

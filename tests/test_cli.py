@@ -1,17 +1,19 @@
 import dataclasses
 import gc
 import hashlib
+import io
+import os
 import re
 import struct
+import subprocess
 import sys
 import typing
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-import click
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from f0synth.anonymize import POOL_COLUMNS, SpeakerPool, load_pool, pool_from_dataset, write_pool
 from f0synth.cli import (
@@ -49,6 +51,28 @@ def config_for(out_dir, **values):
     values = {k: str(v) for k, v in values.items()}
     values["out_dir"] = str(out_dir)
     return RunConfig(values)
+
+
+@dataclasses.dataclass
+class CliResult:
+    exit_code: int
+    output: str
+
+
+def run_cli(args):
+    """Run ``main(args)``: its exit code and its stdout and stderr, interleaved.
+
+    Bad input and usage errors exit through ``SystemExit``; any other
+    exception propagates.
+    """
+    output = io.StringIO()
+    with redirect_stdout(output), redirect_stderr(output):
+        try:
+            main(args)
+            exit_code = 0
+        except SystemExit as exc:
+            exit_code = exc.code
+    return CliResult(exit_code, output.getvalue())
 
 
 WORLD_KEYS = {
@@ -254,8 +278,7 @@ class TestSynthgenCommand:
     def test_invalid_out_dir_fails_nonzero(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file where a directory must go")
-        runner = CliRunner()
-        result = runner.invoke(main, ["synthgen", "--out-dir", str(blocker)])
+        result = run_cli(["synthgen", "--out-dir", str(blocker)])
         assert result.exit_code == 1
         assert "error:" in result.output
 
@@ -275,7 +298,7 @@ class TestSynthgenCommand:
     ])
     def test_non_finite_float_fails_naming_key_before_writing(self, tmp_path, key, field):
         out = tmp_path / "w"
-        result = CliRunner().invoke(main, ["synthgen", "--out-dir", str(out),
+        result = run_cli(["synthgen", "--out-dir", str(out),
                                            "--set", f"{key}=nan"])
         assert result.exit_code == 1
         assert f"error: {field}" in result.output
@@ -285,7 +308,7 @@ class TestSynthgenCommand:
                                             ("synth.base_f0_male", "nan")])
     def test_bad_base_f0_fails_naming_field_before_writing(self, tmp_path, key, value):
         out = tmp_path / "w"
-        result = CliRunner().invoke(main, ["synthgen", "--out-dir", str(out),
+        result = run_cli(["synthgen", "--out-dir", str(out),
                                            "--set", f"{key}={value}"])
         assert result.exit_code == 1
         assert f"error: {key.removeprefix('synth.')} must be positive and finite" \
@@ -293,8 +316,7 @@ class TestSynthgenCommand:
         assert not out.exists()
 
     def test_cli_exit_zero_on_success(self, tmp_path):
-        runner = CliRunner()
-        result = runner.invoke(main, [
+        result = run_cli([
             "synthgen", "--out-dir", str(tmp_path / "w"), "--seed", "1",
             "--set", "synth.n_speakers_per_gender=1",
             "--set", "synth.utts_per_speaker=1",
@@ -364,7 +386,7 @@ class TestTrainCommand:
         # Feature files that do not exist: the setting must fail before any is read.
         manifest = gone_manifest(tmp_path, world_dir)
         out = tmp_path / "out"
-        result = CliRunner().invoke(main, [
+        result = run_cli([
             "train", "--out-dir", str(out),
             "--set", f"train.manifest={manifest}",
             "--set", f"train.val_manifest={manifest}",
@@ -420,7 +442,7 @@ class TestTrainCommand:
             val_manifest = write_dataset(Dataset([dataclasses.replace(u, bn=u.bn[:, :4])
                                                   for u in val.utterances]), tmp_path / "narrow")
         out = tmp_path / "run"
-        result = CliRunner().invoke(main, [
+        result = run_cli([
             "train", "--out-dir", str(out),
             "--set", f"train.manifest={world_dir / 'train' / 'manifest.csv'}",
             "--set", f"train.val_manifest={val_manifest}"])
@@ -513,7 +535,7 @@ class TestEvalCommand:
     def test_bad_dropout_checkpoint_names_file(self, tmp_path, world_dir, trained_dir):
         ckpt = checkpoint_with(trained_dir, tmp_path / "dropout.f0md", "dropout", 0.9)
         out = tmp_path / "out"
-        result = CliRunner().invoke(main, [
+        result = run_cli([
             "eval", "--out-dir", str(out),
             "--set", f"eval.manifest={world_dir / 'test' / 'manifest.csv'}",
             "--set", f"eval.checkpoint={ckpt}"])
@@ -525,6 +547,8 @@ class TestEvalCommand:
         manifest = world_dir / "test" / "manifest.csv"
         with pytest.raises(ConfigError, match="exactly one"):
             cmd_eval(config_for(tmp_path, **{"eval.manifest": manifest}))
+        with pytest.raises(ConfigError, match="exactly one"):
+            cmd_eval(config_for(tmp_path, **{"eval.manifest": manifest, "eval.checkpoint": ""}))
         with pytest.raises(ConfigError, match="exactly one"):
             cmd_eval(config_for(
                 tmp_path,
@@ -585,7 +609,7 @@ class TestEvalCommand:
                             lambda *args: calls.append(args) or predict_f0(*args))
         manifest = world_dir / "test" / "manifest.csv"
         out = tmp_path / "out"
-        result = CliRunner().invoke(main, [
+        result = run_cli([
             "eval", "--out-dir", str(out),
             "--set", f"eval.manifest={manifest}",
             "--set", f"eval.checkpoint={trained_dir / 'checkpoint.f0md'}",
@@ -598,8 +622,7 @@ class TestEvalCommand:
     def test_empty_manifest_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("utt_id,speaker_id,gender,f0_path,bn_path,xvec_path\n")
-        runner = CliRunner()
-        result = runner.invoke(main, [
+        result = run_cli([
             "eval", "--out-dir", str(tmp_path / "out"),
             "--set", f"eval.manifest={empty}",
             "--set", f"eval.pred_manifest={empty}"])
@@ -737,7 +760,7 @@ class TestAnonymizeCommand:
                 if u.speaker_id == flat else u for u in utts]
         manifest = write_dataset(Dataset(utts), tmp_path / "in")
         out = tmp_path / "anon"
-        result = CliRunner().invoke(main, [
+        result = run_cli([
             "anonymize", "--seed", "1", "--out-dir", str(out),
             "--set", f"anonymize.manifest={manifest}",
             "--set", f"anonymize.pool={world_dir / 'pool.csv'}",
@@ -853,7 +876,7 @@ class TestAnonymizeCommand:
                                                              trained_dir):
         ckpt = checkpoint_with(trained_dir, tmp_path / "nan.f0md", "input_mean", float("nan"))
         out = tmp_path / "anon"
-        result = CliRunner().invoke(main, [
+        result = run_cli([
             "anonymize", "--seed", "1", "--out-dir", str(out),
             "--set", f"anonymize.manifest={world_dir / 'test' / 'manifest.csv'}",
             "--set", f"anonymize.pool={world_dir / 'pool.csv'}",
@@ -903,7 +926,7 @@ class TestAnonymizeCommand:
         rows[51] = bad_id + rows[51][rows[51].index(","):]
         manifest = write_manifest(tmp_path / "in" / "manifest.csv", rows)
         out = tmp_path / "anon"
-        result = CliRunner().invoke(main, [
+        result = run_cli([
             "anonymize", "--out-dir", str(out),
             "--set", f"anonymize.manifest={manifest}",
             "--set", f"anonymize.pool={world_dir / 'pool.csv'}",
@@ -967,16 +990,64 @@ def zero_params(input_dim):
 
 class TestCliEntrypoints:
     def test_help_lists_all_commands(self):
-        runner = CliRunner()
-        result = runner.invoke(main, ["--help"])
+        result = run_cli(["--help"])
         assert result.exit_code == 0
         for command in ("synthgen", "train", "eval", "anonymize"):
             assert command in result.output
 
+    def test_help_shows_each_command_docstring_summary(self):
+        result = run_cli(["--help"])
+        assert result.exit_code == 0
+        shown = " ".join(result.output.split())  # help lines wrap at the terminal width
+        for name, body in cli.COMMANDS.items():
+            assert f"{name} {body.__doc__.splitlines()[0]}" in shown
+
+    def test_abbreviated_option_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "x"
+        result = run_cli(["synthgen", "--out", str(out)])
+        assert result.exit_code == 2
+        assert not out.exists()
+
+    def test_import_leaves_click_out(self):
+        paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        code = ("import sys, f0synth.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "[]\n"
+
+    @pytest.mark.parametrize("args, key", [
+        (["synthgen", "--out-dir", ""], "out_dir"),
+        (["synthgen", "--config", "{cfg}"], "out_dir"),
+        (["train", "--out-dir", "out", "--set", "train.manifest=",
+          "--set", "train.val_manifest=v.csv"], "train.manifest"),
+        (["eval", "--out-dir", "out", "--set", "eval.manifest=",
+          "--set", "eval.pred_manifest=p.csv"], "eval.manifest"),
+        (["anonymize", "--out-dir", "out", "--set", "anonymize.manifest=m.csv",
+          "--set", "anonymize.pool="], "anonymize.pool"),
+        (["anonymize", "--out-dir", "out", "--set", "anonymize.manifest=m.csv",
+          "--set", "anonymize.pool=p.csv", "--set", "anonymize.checkpoint="],
+         "anonymize.checkpoint"),
+    ], ids=["out_dir_flag", "out_dir_in_config", "train_manifest", "eval_manifest",
+            "anonymize_pool", "anonymize_checkpoint"])
+    def test_empty_required_value_fails_naming_key_writing_nothing(self, tmp_path,
+                                                                   monkeypatch, args, key):
+        cfg = tmp_path / "empty_out_dir.cfg"
+        cfg.write_text("seed = 1\nout_dir =\n")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        result = run_cli([arg.format(cfg=cfg) for arg in args])
+        assert result.exit_code == 1
+        assert f"error: missing required config key {key!r}" in result.output
+        assert list(cwd.iterdir()) == []
+
     def test_version_from_package(self):
-        result = CliRunner().invoke(main, ["--version"])
+        result = run_cli(["--version"])
         assert result.exit_code == 0, result.output
         assert "version 0.1.0" in result.output
+        assert result.output == "f0synth, version 0.1.0\n"
 
     @pytest.mark.parametrize("command", ["synthgen", "train", "anonymize"])
     def test_negative_seed_fails_naming_key_before_writing(self, tmp_path, world_dir,
@@ -991,29 +1062,29 @@ class TestCliEntrypoints:
         args = [command, "--seed", "-1", "--out-dir", str(out)]
         for item in keys[command]:
             args += ["--set", item]
-        result = CliRunner().invoke(main, args)
+        result = run_cli(args)
         assert result.exit_code == 1
         assert "error: config key 'seed': -1 is not a non-negative integer" in result.output
         assert not out.exists()
 
     def test_only_bad_input_becomes_exit_1(self, monkeypatch):
         def bad_input(config):
+            """Fails on its input."""
             raise ValueError("bad input")
 
         def bug(config):
+            """Fails with a bug."""
             raise KeyError("x")
 
-        monkeypatch.setattr(cli, "main", click.Group())
-        cli._add_command("bad-input", bad_input, "Fails on its input.")
-        cli._add_command("bug", bug, "Fails with a bug.")
-        result = CliRunner().invoke(cli.main, ["bad-input"])
+        monkeypatch.setitem(cli.COMMANDS, "bad-input", bad_input)
+        monkeypatch.setitem(cli.COMMANDS, "bug", bug)
+        result = run_cli(["bad-input"])
         assert (result.exit_code, result.output) == (1, "error: bad input\n")
         with pytest.raises(KeyError, match="x"):
-            CliRunner().invoke(cli.main, ["bug"], catch_exceptions=False)
+            run_cli(["bug"])
 
     def test_unknown_key_via_set_fails(self, tmp_path):
-        runner = CliRunner()
-        result = runner.invoke(main, [
+        result = run_cli([
             "synthgen", "--out-dir", str(tmp_path), "--set", "synth.bogus=1"])
         assert result.exit_code == 1
         assert "unknown config keys" in result.output
@@ -1028,7 +1099,6 @@ class TestCliEntrypoints:
             "synth.frames_per_utt = 40\n"
             "synth.d_bn = 2\n"
             "synth.d_xv = 1\n")
-        runner = CliRunner()
-        result = runner.invoke(main, ["synthgen", "--config", str(cfg)])
+        result = run_cli(["synthgen", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "w" / "pool.csv").is_file()

@@ -10,10 +10,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from f0synth.cli import parse_config_text
 from f0synth.featureio import (
     STD_FLOOR,
     Dataset,
@@ -72,20 +74,46 @@ def test_accepted_id_names_its_feature_files(utt_id):
         assert bits(getattr(back[0], name)) == bits(getattr(utt, name))
 
 
-# Two or more columns: a one-column row of one empty field is a blank line,
-# which read_csv skips.
+# A one-column row of one empty field would be a blank line, which read_csv
+# skips: write_csv raises on such a table and writes nothing.
 @reproducible
-@given(st.integers(2, 6).flatmap(lambda width: st.lists(
+@given(st.integers(1, 6).flatmap(lambda width: st.lists(
     st.lists(st.text(code_points, max_size=8).filter(is_csv_field),
              min_size=width, max_size=width),
     max_size=6).map(lambda rows: (width, rows))))
+@example((1, [["x"], [""], ["y"]]))
 def test_csv_rows_read_back(table):
     width, rows = table
     columns = tuple(f"c{i}" for i in range(width))
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_csv(Path(tmp) / "table.csv", columns, rows)
-        back = [fields for _, fields in read_csv(path, columns)]
+        path = Path(tmp) / "out" / "table.csv"
+        if [""] in rows:
+            with pytest.raises(ValueError, match="blank line"):
+                write_csv(path, columns, rows)
+            assert not any(Path(tmp).iterdir())
+            return
+        back = [fields for _, fields in read_csv(write_csv(path, columns, rows), columns)]
     assert back == rows
+
+
+# One line of a config file: no line break and no outer whitespace.
+config_text = st.text(code_points, max_size=8).filter(
+    lambda s: s == s.strip() and len(s.splitlines()) <= 1)
+config_keys = config_text.filter(lambda s: s and "=" not in s and not s.startswith("#"))
+filler_lines = st.lists(st.one_of(st.sampled_from(["", "  ", "\t"]),
+                                  config_text.map(lambda s: "# " + s)), max_size=2)
+
+
+@reproducible
+@given(st.dictionaries(config_keys, config_text, max_size=6).flatmap(
+    lambda values: st.lists(filler_lines, min_size=len(values) + 1,
+                            max_size=len(values) + 1).map(lambda fill: (values, fill))))
+def test_config_text_reads_back(config):
+    values, fill = config
+    lines = list(fill[0])
+    for (key, value), between in zip(values.items(), fill[1:]):
+        lines += [f"{key} = {value}", *between]
+    assert parse_config_text("\n".join(lines)) == values
 
 
 @reproducible
