@@ -109,18 +109,30 @@ fi
 grep -qF "$bad_ckpt" "$TMP/eval_bad.err"
 test ! -e "$TMP/eval_bad"
 
-# A validation manifest that does not exist: train exits 1, names it on
-# stderr and makes no out_dir.
-status=0
-$F0SYNTH train --out-dir "$TMP/run_bad" \
-  --set train.manifest="$TMP/world_a/train/manifest.csv" \
-  --set train.val_manifest="$TMP/nope/manifest.csv" 2> "$TMP/run_bad.err" || status=$?
-cat "$TMP/run_bad.err"
-if [ "$status" != 1 ]; then
-  echo "train with a missing validation manifest exited $status, not 1"; exit 1
-fi
-grep -qF "$TMP/nope/manifest.csv" "$TMP/run_bad.err"
-test ! -e "$TMP/run_bad"
+# A validation manifest that does not exist, or one whose utterances hold
+# 0 frames: train exits 1, names it on stderr and makes no out_dir.
+python - "$TMP/world_a/validation/manifest.csv" "$TMP/val_empty" <<'PY'
+import dataclasses
+import sys
+
+from f0synth.featureio import Dataset, load_manifest, write_dataset
+
+utts = load_manifest(sys.argv[1]).utterances
+write_dataset(Dataset([dataclasses.replace(u, f0=u.f0[:0], bn=u.bn[:0]) for u in utts]),
+              sys.argv[2])
+PY
+for val in "$TMP/nope/manifest.csv" "$TMP/val_empty/manifest.csv"; do
+  status=0
+  $F0SYNTH train --out-dir "$TMP/run_bad" \
+    --set train.manifest="$TMP/world_a/train/manifest.csv" \
+    --set train.val_manifest="$val" 2> "$TMP/run_bad.err" || status=$?
+  cat "$TMP/run_bad.err"
+  if [ "$status" != 1 ]; then
+    echo "train with validation manifest $val exited $status, not 1"; exit 1
+  fi
+  grep -qF "$val" "$TMP/run_bad.err"
+  test ! -e "$TMP/run_bad"
+done
 
 # A quickstart-sized world.  synthgen draws on every CPU it may run on,
 # so the world built on one CPU must be the same bytes.  Its GEMMs are

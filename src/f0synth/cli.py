@@ -108,7 +108,7 @@ class RunConfig:
     def get_int_list(self, key: str, default: list[int]) -> list[int]:
         return self._typed(
             key, default,
-            lambda raw: [int(tok) for tok in raw.split(",") if tok.strip()],
+            lambda raw: [int(tok) for tok in raw.split(",")],
             "a comma-separated integer list")
 
     @property
@@ -217,11 +217,13 @@ def load_matching_checkpoint(path: str, dataset: Dataset):
 
 
 def load_validation(path: str, width: int) -> Dataset:
-    """Load a validation manifest; its d_xv + d_bn must be the train table's ``width``."""
+    """Load a validation manifest that has frames, of the train table's d_xv + d_bn ``width``."""
     dataset = load_manifest(path)
     if dataset.input_width != width:
         raise ValueError(f"{path}: d_xv + d_bn = {dataset.input_width} of the validation manifest "
                          f"!= {width} of the train manifest")
+    if dataset.total_frames == 0:
+        raise ValueError(f"{path}: the validation manifest has no frames")
     return dataset
 
 
@@ -251,10 +253,13 @@ def cmd_train(config: RunConfig) -> dict:
     train_manifest = config.require("train.manifest")
     val_manifest = config.require("train.val_manifest")
     # Settings, train table and model, validation data, then out_dir.  The
-    # validation Dataset is popped into train(), which drops it once prepared.
+    # validation Dataset is popped into train(), which drops it once its
+    # arrays are built.
     train_config = section_config(config, "train", seed=config.seed)
     out_dir = config.out_dir
     table = build_frame_table(load_manifest(train_manifest))
+    if not table.voiced.any():
+        raise ValueError(f"{train_manifest}: the train manifest has no voiced frames")
     model_config = section_config(config, "model", input_dim=table.rows.shape[1])
     validation = [load_validation(val_manifest, table.rows.shape[1])]
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -235,38 +235,19 @@ class TrainHistory:
                  f"{r.lr:.10g}", r.event] for r in self.records]
 
 
-@dataclass
-class ValidationSet:
-    """Validation frames prepared once for a run's fixed normalization.
-
-    ``rows`` is one float64 array of every frame's normalized feature row,
-    ``truth_f0`` every frame's truth F0 in Hz, both in utterance order.
-    """
-
-    rows: np.ndarray
-    truth_f0: np.ndarray
-
-
-def prepare_validation(params: ModelParams, val_dataset: Dataset) -> ValidationSet:
-    """Normalize every validation frame with ``params.norm``, once."""
-    if val_dataset.total_frames == 0:
-        raise ValueError("validation dataset has no frames")
-    rows = params.norm.normalize_inputs(build_frame_table(val_dataset).rows)
-    truth = np.concatenate([u.f0.astype(np.float64) for u in val_dataset.utterances])
-    return ValidationSet(rows, truth)
-
-
-def validation_metric(params: ModelParams, val: ValidationSet) -> float:
+def validation_metric(params: ModelParams, rows: np.ndarray, truth_f0: np.ndarray) -> float:
     """Accurately-processed fraction pooled over all validation frames.
 
-    Frames run in blocks of ``VALIDATION_BLOCK_ROWS``; a row's last bit can
-    differ from ``predict_f0`` on its utterance alone (see README).  The
-    pitch counts are integer sums, so one count over all frames equals
-    pooling per-utterance counts.
+    ``rows`` holds every frame's normalized feature row and ``truth_f0``
+    its truth F0 in Hz, both in utterance order.  Frames run in blocks of
+    ``VALIDATION_BLOCK_ROWS``; a row's last bit can differ from
+    ``predict_f0`` on its utterance alone (see README).  The pitch counts
+    are integer sums, so one count over all frames equals pooling
+    per-utterance counts.
     """
-    pred = np.concatenate([infer_f0(params, val.rows[start:start + VALIDATION_BLOCK_ROWS])[0]
-                           for start in range(0, len(val.rows), VALIDATION_BLOCK_ROWS)])
-    return pitch_error_counts(pred, val.truth_f0).accurately_processed
+    pred = np.concatenate([infer_f0(params, rows[start:start + VALIDATION_BLOCK_ROWS])[0]
+                           for start in range(0, len(rows), VALIDATION_BLOCK_ROWS)])
+    return pitch_error_counts(pred, truth_f0).accurately_processed
 
 
 def train(
@@ -296,7 +277,10 @@ def train(
     params.norm = compute_norm_stats(train_table)
     targets = np.where(train_table.voiced,
                        params.norm.normalize_logf0(train_table.target_logf0), 0.0)
-    val = prepare_validation(params, val_dataset)
+    if val_dataset.total_frames == 0:
+        raise ValueError("validation dataset has no frames")
+    val_rows = params.norm.normalize_inputs(build_frame_table(val_dataset).rows)
+    val_f0 = np.concatenate([u.f0.astype(np.float64) for u in val_dataset.utterances])
     del val_dataset
 
     opt = init_optimizer(params)
@@ -325,7 +309,7 @@ def train(
             loss_sum += loss * len(idx)
         train_loss = loss_sum / n
 
-        metric = validation_metric(params, val)
+        metric = validation_metric(params, val_rows, val_f0)
         action = scheduler_update(sched, metric)
         if sched.epochs_since_improve == 0:
             best_params = params.copy()

@@ -203,6 +203,13 @@ class TestConfigParsing:
         config = RunConfig({"seed": "x", "out_dir": "d"})
         with pytest.raises(ConfigError, match="not an integer"):
             config.get_int("seed", 0)
+        # Every comma-separated item must be an integer: none is dropped.
+        for value in ("64,,32", "64,", ","):
+            config = RunConfig({"model.hidden_sizes": value})
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"config key 'model.hidden_sizes': {value!r} is not a "
+                    "comma-separated integer list")):
+                config.get_int_list("model.hidden_sizes", [])
 
 
 SECTION_CLASSES = {"synth": SynthSpec, "model": ModelConfig, "train": TrainConfig}
@@ -448,6 +455,27 @@ class TestTrainCommand:
             "--set", f"train.val_manifest={val_manifest}"])
         assert result.exit_code == 1
         assert str(val_manifest) in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("role", ["train", "validation"])
+    def test_manifest_without_usable_frames_fails_before_out_dir(self, tmp_path, world_dir,
+                                                                 role):
+        # Train utterances all unvoiced, or validation utterances of 0 frames.
+        utts = load_manifest(world_dir / role / "manifest.csv").utterances
+        if role == "train":
+            bad = [dataclasses.replace(u, f0=np.zeros_like(u.f0)) for u in utts]
+        else:
+            bad = [dataclasses.replace(u, f0=u.f0[:0], bn=u.bn[:0]) for u in utts]
+        manifest = write_dataset(Dataset(bad), tmp_path / role)
+        manifests = {"train": world_dir / "train" / "manifest.csv",
+                     "validation": world_dir / "validation" / "manifest.csv", role: manifest}
+        out = tmp_path / "run"
+        result = run_cli([
+            "train", "--out-dir", str(out),
+            "--set", f"train.manifest={manifests['train']}",
+            "--set", f"train.val_manifest={manifests['validation']}"])
+        assert result.exit_code == 1
+        assert f"error: {manifest}: the {role} manifest has no" in result.output
         assert not out.exists()
 
     @pytest.mark.skipif(sys.version_info < (3, 11),

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +31,6 @@ from f0synth.training import (
     composite_loss,
     init_optimizer,
     nadam_step,
-    prepare_validation,
     scheduler_update,
     train,
     validation_metric,
@@ -383,7 +385,7 @@ class TestTrainLoop:
         train_ds, val_ds, _ = tiny_world()
         params, history = self.run(max_epochs=5)
         best = max(r.val_metric for r in history.records)
-        metric = validation_metric(params, prepare_validation(params, val_ds))
+        metric = validation_metric(params, *validation_arrays(params, val_ds))
         assert metric == pytest.approx(best, abs=1e-12)
 
     def test_loss_decreases_on_learnable_world(self):
@@ -482,6 +484,12 @@ def reference_train(table, val_ds, model_config, config):
     return best, history
 
 
+def validation_arrays(params, dataset):
+    """The normalized rows and truth F0 that train() builds for validation_metric."""
+    rows = params.norm.normalize_inputs(build_frame_table(dataset).rows)
+    return rows, np.concatenate([u.f0.astype(np.float64) for u in dataset.utterances])
+
+
 def uneven_validation_world():
     """Validation utterances cut to different lengths, some repeated."""
     _, val_ds, _ = tiny_world()
@@ -507,20 +515,44 @@ class TestValidationMetric:
             pred, _ = predict_f0(params, utt.features())
             preds.append(pred)
             pooled = pooled + pitch_error_counts(pred, utt.f0)
-        val = prepare_validation(params, val_ds)
-        assert validation_metric(params, val) == pooled.accurately_processed
+        val_rows, val_f0 = validation_arrays(params, val_ds)
+        assert validation_metric(params, val_rows, val_f0) == pooled.accurately_processed
         ends = np.cumsum([u.n_frames for u in val_ds.utterances])
-        assert ends[-1] == len(val.rows)
-        for rows, pred in zip(np.split(val.rows, ends[:-1]), preds):
+        assert ends[-1] == len(val_rows)
+        for rows, pred in zip(np.split(val_rows, ends[:-1]), preds):
             assert np.array_equal(infer_f0(params, rows)[0].view(np.uint64),
                                   pred.view(np.uint64))
 
     def test_no_frames_rejected(self):
-        params = init_params(ModelConfig(input_dim=6, hidden_sizes=[4]), 0)
+        table = build_frame_table(tiny_world()[0])
         empty = Dataset([Utterance("u0", "s0", Gender.F, np.zeros(0), np.zeros((0, 4)),
                                    np.zeros(2))])
         with pytest.raises(ValueError, match="no frames"):
-            prepare_validation(params, empty)
+            train(table, empty, ModelConfig(input_dim=6, hidden_sizes=[4]), TrainConfig())
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="before 3.11 a caller holds its call's arguments until return")
+    def test_validation_dataset_freed_before_first_epoch(self, monkeypatch):
+        refs = []
+
+        def fresh_validation():
+            val_ds = tiny_world()[1]
+            refs.append(weakref.ref(val_ds))
+            return val_ds
+
+        real_metric = training.validation_metric
+
+        def checked_metric(*args):
+            if len(refs) == 1:
+                gc.collect()
+                assert refs.pop()() is None, "train() still holds the validation Dataset"
+            return real_metric(*args)
+
+        monkeypatch.setattr(training, "validation_metric", checked_metric)
+        table = build_frame_table(tiny_world()[0])
+        train(table, fresh_validation(), ModelConfig(input_dim=6, hidden_sizes=[4]),
+              TrainConfig(max_epochs=2, batch_size=256))
+        assert not refs
 
 
 class TestTrainingMemory:
