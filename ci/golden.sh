@@ -3,11 +3,14 @@
 # both methods, n=5, k=3) with one BLAS thread into a temporary directory
 # and compares its outputs with ci/golden/quickstart.json: the digest of
 # the sha256sum listing of every file written, and the hashes of
-# run/checkpoint.f0md and run/history.csv.  The record also names the
-# machine it was made on (numpy, BLAS, CPU model).  On that machine a
-# mismatch fails the script; on another one the script prints both
-# records and exits 0, since BLAS kernels may round differently there, so
-# off that machine it checks only that every command of the recipe runs.
+# run/checkpoint.f0md and run/history.csv.  A second training, 3 epochs
+# at dropout 0.2, goes to dropout/, outside the listing, and its
+# checkpoint and history hashes are compared too, so the dropout path is
+# pinned to bytes as well.  The record also names the machine it was
+# made on (numpy, BLAS, CPU model).  On that machine a mismatch fails the
+# script; on another one the script prints both records and exits 0,
+# since BLAS kernels may round differently there, so off that machine it
+# checks only that every command of the recipe runs.
 # Runs the source tree; from any directory of a checkout:
 #
 #   bash ci/golden.sh
@@ -33,6 +36,11 @@ f0synth train --seed 11 --out-dir run \
   --set train.val_manifest=world/validation/manifest.csv \
   --set model.hidden_sizes=64,32,16,8 \
   --set train.batch_size=4096 --set train.lr=0.0003 > /dev/null
+f0synth train --seed 11 --out-dir dropout \
+  --set train.manifest=world/train/manifest.csv \
+  --set train.val_manifest=world/validation/manifest.csv \
+  --set model.hidden_sizes=64,32,16,8 --set model.dropout=0.2 \
+  --set train.batch_size=4096 --set train.lr=0.0003 --set train.max_epochs=3 > /dev/null
 f0synth eval --out-dir run/eval \
   --set eval.manifest=world/test/manifest.csv \
   --set eval.checkpoint=run/checkpoint.f0md > /dev/null
@@ -45,8 +53,9 @@ for method in synthesis shift_scale; do
     --set anonymize.n=5 --set anonymize.k=3 > /dev/null
 done
 find world run -type f | sort | xargs sha256sum > listing.txt
+sha256sum {run,dropout}/checkpoint.f0md {run,dropout}/history.csv > files.txt
 
-python - "$repo/ci/golden/quickstart.json" listing.txt <<'PY'
+python - "$repo/ci/golden/quickstart.json" listing.txt files.txt <<'PY'
 import hashlib
 import json
 import platform
@@ -54,9 +63,8 @@ import sys
 
 import numpy as np
 
-golden_path, listing_path = sys.argv[1:]
+golden_path, listing_path, files_path = sys.argv[1:]
 listing = open(listing_path, "rb").read()
-hashes = {name: digest for digest, name in map(str.split, listing.decode().splitlines())}
 
 
 def cpu_model() -> str:
@@ -70,14 +78,14 @@ def cpu_model() -> str:
 blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
 run = {
     "listing_sha256": hashlib.sha256(listing).hexdigest(),
-    "files": {name: hashes[name] for name in ("run/checkpoint.f0md", "run/history.csv")},
+    "files": {name: digest for digest, name in map(str.split, open(files_path))},
     "machine": {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
                 "cpu": cpu_model()},
 }
 golden = json.load(open(golden_path))
 same_outputs = all(run[key] == golden[key] for key in ("listing_sha256", "files"))
 same_machine = run["machine"] == golden["machine"]
-print(f"{len(hashes)} files, listing digest {run['listing_sha256']}")
+print(f"{len(listing.splitlines())} files, listing digest {run['listing_sha256']}")
 if same_outputs:
     print("golden ok" + ("" if same_machine else " (on another machine)"))
     sys.exit(0)

@@ -114,15 +114,12 @@ class Gradients:
 class ForwardCache:
     """One forward pass's intermediates, kept for the backward pass.
 
-    ``inputs`` is the batch; ``pre_acts[i]``/``post_acts[i]`` are layer i's
-    affine output and its activation after ReLU (and dropout, when on);
-    the output layer's two are one array.  ``dropout_masks[i]`` holds the
-    inverted-scaled mask or None.  The activations are views of one buffer
-    that ``forward`` allocates per call.
+    ``inputs`` is the batch; ``post_acts[i]`` is layer i's activation after
+    ReLU (and dropout, when on), and the output layer's affine output.
+    ``dropout_masks[i]`` holds the inverted-scaled mask or None.
     """
 
     inputs: np.ndarray
-    pre_acts: list[np.ndarray]
     post_acts: list[np.ndarray]
     dropout_masks: list[np.ndarray | None]
 
@@ -155,8 +152,8 @@ def forward(
     hidden activations only, inverted-scaled by 1/(1-dropout), and only
     when ``train_mode`` and ``dropout > 0``; inference never drops.
 
-    Each call allocates one float64 buffer of B x (2 * summed layer widths
-    - 2) values and writes every layer in place into views of it.
+    Each layer writes one fresh array: the product, then the bias, ReLU
+    and dropout in place.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != params.input_dim:
@@ -164,29 +161,19 @@ def forward(
             f"batch must be B x {params.input_dim}, got {batch.shape}")
     if not np.isfinite(batch).all():
         raise ValueError("non-finite value in batch")
-    rows = batch.shape[0]
-    buf = np.empty(rows * (2 * sum(w.shape[0] for w in params.weights) - OUTPUT_UNITS))
-    off = 0
-
-    def take(width: int) -> np.ndarray:
-        nonlocal off
-        off += rows * width
-        return buf[off - rows * width:off].reshape(rows, width)
-
     drop = train_mode and dropout > 0.0
     rng = np.random.default_rng(dropout_seed) if drop else None
-    cache = ForwardCache(batch, [], [], [])
+    cache = ForwardCache(batch, [], [])
     a = batch
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.matmul(a, w.T, out=take(w.shape[0]))
-        z += b
-        a, mask = z, None
+        a = a @ w.T
+        a += b
+        mask = None
         if i < params.n_layers - 1:
-            a = np.maximum(z, 0.0, out=take(w.shape[0]))
+            np.maximum(a, 0.0, out=a)
             if drop:
                 mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
                 a *= mask
-        cache.pre_acts.append(z)
         cache.post_acts.append(a)
         cache.dropout_masks.append(mask)
     return a[:, 0], a[:, 1], cache
@@ -201,9 +188,11 @@ def backward(
     """Exact backprop from per-row output gradients to every parameter.
 
     The upstream vectors must already carry the loss's averaging factors;
-    this pass only sums over rows.  ReLU's subgradient at 0 is 0.
+    this pass only sums over rows.  ReLU's subgradient at 0 is 0: a
+    hidden unit passes gradient where its activation is > 0, which after
+    ReLU is exactly where its pre-activation was.
     """
-    if [z.shape[1] for z in cache.pre_acts] != [w.shape[0] for w in params.weights]:
+    if [a.shape[1] for a in cache.post_acts] != [w.shape[0] for w in params.weights]:
         raise ValueError("cache does not match params (layer widths)")
     b_rows = cache.inputs.shape[0]
     dL_df0hat = np.asarray(dL_df0hat, dtype=np.float64)
@@ -218,16 +207,17 @@ def backward(
     for i in range(params.n_layers - 1, -1, -1):
         a_prev = cache.inputs if i == 0 else cache.post_acts[i - 1]
         d_weights[i] = d_z.T @ a_prev
-        d_biases[i] = d_z.sum(axis=0)
+        d_biases[i] = np.einsum("ij->j", d_z)  # sum(axis=0)'s order, in one pass
         if i == 0:
             break
         # d_a is fresh, so the in-place products leave the cache intact.
-        # Multiplying (not assigning zeros) keeps the sign of zero products.
+        # Multiplying (not assigning zeros) keeps the sign of zero products;
+        # where dropout zeroed a unit, d_a is already a signed zero.
         d_a = d_z @ params.weights[i]
         mask = cache.dropout_masks[i - 1]
         if mask is not None:
             np.multiply(d_a, mask, out=d_a)
-        d_z = np.multiply(d_a, cache.pre_acts[i - 1] > 0.0, out=d_a)
+        d_z = np.multiply(d_a, cache.post_acts[i - 1] > 0.0, out=d_a)
     return Gradients(d_weights, d_biases)
 
 

@@ -127,19 +127,19 @@ def composite_loss(
 
 @dataclass
 class OptimizerState:
-    """NAdam accumulators: moments shaped like ``[*weights, *biases]``, step
-    count, and the running product of momentum-schedule values."""
+    """NAdam accumulators: moments as float64 vectors over the flattened
+    ``[*weights, *biases]``, step count, and the running product of
+    momentum-schedule values."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     mu_product: float = 1.0
 
 
 def init_optimizer(params: ModelParams) -> OptimizerState:
-    arrays = (*params.weights, *params.biases)
-    return OptimizerState(m=[np.zeros_like(p) for p in arrays],
-                          v=[np.zeros_like(p) for p in arrays])
+    size = sum(p.size for p in (*params.weights, *params.biases))
+    return OptimizerState(m=np.zeros(size), v=np.zeros(size))
 
 
 def _mu(t: int) -> float:
@@ -152,10 +152,14 @@ def nadam_step(
     grads: Gradients,
     lr: float,
 ) -> tuple[ModelParams, OptimizerState]:
-    """One NAdam update; returns fresh params and state (inputs untouched)."""
-    for g in (*grads.weights, *grads.biases):
-        if not np.isfinite(g).all():
-            raise ValueError("non-finite gradient")
+    """One NAdam update; returns fresh params and state (inputs untouched).
+
+    It runs once over all parameters as one flat vector, elementwise, so
+    the bits are those of a per-array update; the new params are views.
+    """
+    g = np.concatenate([a.ravel() for a in (*grads.weights, *grads.biases)])
+    if not np.isfinite(g).all():
+        raise ValueError("non-finite gradient")
     t = state.step + 1
     mu_t = _mu(t)
     mu_next = _mu(t + 1)
@@ -164,18 +168,16 @@ def nadam_step(
     m_scale = lr * mu_next / (1.0 - mu_product * mu_next)
     v_correction = 1.0 - NADAM_BETA2**t
 
-    new_p, new_m, new_v = [], [], []
-    for p, m, v, g in zip((*params.weights, *params.biases), state.m, state.v,
-                          (*grads.weights, *grads.biases)):
-        m = NADAM_BETA1 * m + (1.0 - NADAM_BETA1) * g
-        v = NADAM_BETA2 * v + (1.0 - NADAM_BETA2) * g * g
-        denom = np.sqrt(v / v_correction) + NADAM_EPS
-        new_p.append(p - g_scale * g / denom - m_scale * m / denom)
-        new_m.append(m)
-        new_v.append(v)
+    arrays = (*params.weights, *params.biases)
+    m = NADAM_BETA1 * state.m + (1.0 - NADAM_BETA1) * g
+    v = NADAM_BETA2 * state.v + (1.0 - NADAM_BETA2) * g * g
+    denom = np.sqrt(v / v_correction) + NADAM_EPS
+    p = np.concatenate([a.ravel() for a in arrays]) - g_scale * g / denom - m_scale * m / denom
+    new_p = [part.reshape(a.shape) for part, a in
+             zip(np.split(p, np.cumsum([a.size for a in arrays])[:-1]), arrays)]
     n_layers = len(params.weights)
     new_params = ModelParams(new_p[:n_layers], new_p[n_layers:], params.norm)
-    return new_params, OptimizerState(new_m, new_v, step=t, mu_product=mu_product)
+    return new_params, OptimizerState(m, v, step=t, mu_product=mu_product)
 
 
 @dataclass
@@ -279,6 +281,10 @@ def train(
                        params.norm.normalize_logf0(train_table.target_logf0), 0.0)
     if val_dataset.total_frames == 0:
         raise ValueError("validation dataset has no frames")
+    if val_dataset.input_width != model_config.input_dim:
+        raise ValueError(
+            f"validation input width {val_dataset.input_width} != "
+            f"model input_dim {model_config.input_dim}")
     val_rows = params.norm.normalize_inputs(build_frame_table(val_dataset).rows)
     val_f0 = np.concatenate([u.f0.astype(np.float64) for u in val_dataset.utterances])
     del val_dataset
@@ -303,7 +309,7 @@ def train(
             loss, d_f0hat, d_g = composite_loss(
                 f0hat, g, targets[idx], train_table.voiced[idx], train_config.alpha)
             grads = backward(params, cache, d_f0hat, d_g)
-            # Frees this pass's buffer before the next forward allocates one.
+            # Frees this pass's activations before the next forward allocates.
             del f0hat, g, cache
             params, opt = nadam_step(opt, params, grads, epoch_lr)
             loss_sum += loss * len(idx)

@@ -127,8 +127,11 @@ def test_criterion_01_gradient_check():
                 voiced[0], voiced[1] = True, False
             _, _, probe = forward(params, x, train_mode=train_mode,
                                   dropout=dropout, dropout_seed=dropout_seed)
+            # the cache keeps activations only: each hidden layer's
+            # pre-activation is recomputed from its input
             hidden_pre = np.concatenate(
-                [z.ravel() for z in probe.pre_acts[:-1]])
+                [(a @ w.T + b).ravel() for a, w, b in
+                 zip((x, *probe.post_acts[:-2]), params.weights[:-1], params.biases[:-1])])
             if np.abs(hidden_pre).min() > kink_margin:
                 break
         else:

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -45,7 +46,10 @@ def naive_forward(params, batch):
 
 
 def reference_forward(params, batch, train_mode=False, dropout=0.0, dropout_seed=None):
-    """Reference: the allocating forward pass, a fresh array per step."""
+    """Reference: the allocating forward pass, a fresh array per step.
+
+    Returns the outputs, the cache, and every layer's pre-activation.
+    """
     drop = train_mode and dropout > 0.0
     rng = np.random.default_rng(dropout_seed) if drop else None
     a = np.asarray(batch, dtype=np.float64)
@@ -65,11 +69,12 @@ def reference_forward(params, batch, train_mode=False, dropout=0.0, dropout_seed
                 mask = None
         post_acts.append(a)
         masks.append(mask)
-    return a[:, 0], a[:, 1], ForwardCache(batch, pre_acts, post_acts, masks)
+    return a[:, 0], a[:, 1], ForwardCache(batch, post_acts, masks), pre_acts
 
 
-def reference_backward(params, cache, dL_df0hat, dL_dg):
-    """Reference: the allocating backward pass, ReLU mask as a product."""
+def reference_backward(params, cache, pre_acts, dL_df0hat, dL_dg):
+    """Reference: the allocating backward pass, the ReLU mask read from the
+    pre-activations as a product, the bias sums by ``sum(axis=0)``."""
     d_z = np.column_stack([dL_df0hat, dL_dg])
     d_weights, d_biases = [None] * params.n_layers, [None] * params.n_layers
     for i in range(params.n_layers - 1, -1, -1):
@@ -82,7 +87,7 @@ def reference_backward(params, cache, dL_df0hat, dL_dg):
         mask = cache.dropout_masks[i - 1]
         if mask is not None:
             d_a = d_a * mask
-        d_z = d_a * (cache.pre_acts[i - 1] > 0.0)
+        d_z = d_a * (pre_acts[i - 1] > 0.0)
     return Gradients(d_weights, d_biases)
 
 
@@ -296,17 +301,17 @@ class TestBackward:
 
 
 class TestWorkspaceOracle:
-    """One-buffer forward and backward against the allocating reference, bit for bit."""
+    """In-place forward and backward against the allocating reference, bit for bit."""
 
     @staticmethod
     def check_step(params, batch, u, v, **drop):
-        ref_f0, ref_g, ref_cache = reference_forward(params, batch, **drop)
-        ref_grads = reference_backward(params, ref_cache, u, v)
+        ref_f0, ref_g, ref_cache, ref_pre_acts = reference_forward(params, batch, **drop)
+        ref_grads = reference_backward(params, ref_cache, ref_pre_acts, u, v)
         f0hat, g, cache = forward(params, batch, **drop)
         assert_bits_equal(f0hat, ref_f0)
         assert_bits_equal(g, ref_g)
-        for got, ref in zip((*cache.pre_acts, *cache.post_acts),
-                            (*ref_cache.pre_acts, *ref_cache.post_acts)):
+        assert len(cache.post_acts) == len(ref_cache.post_acts)
+        for got, ref in zip(cache.post_acts, ref_cache.post_acts):
             assert_bits_equal(got, ref)
         for mask, ref_mask in zip(cache.dropout_masks, ref_cache.dropout_masks):
             assert (mask is None) == (ref_mask is None)
@@ -331,6 +336,15 @@ class TestWorkspaceOracle:
             self.check_step(params, rng.normal(size=(rows, 6)), rng.normal(size=rows),
                             rng.normal(size=rows),
                             train_mode=True, dropout=dropout, dropout_seed=[3, step])
+        # a batch of the quickstart network, larger than one 4,096-row batch
+        params, _ = toy_params(seed=5, input_dim=24, hidden=(64, 32, 16, 8))
+        params = ModelParams(params.weights,
+                             [rng.normal(scale=0.1, size=b.shape) for b in params.biases],
+                             params.norm)
+        rows = 4133
+        self.check_step(params, rng.normal(size=(rows, 24)), rng.normal(size=rows) / rows,
+                        rng.normal(size=rows) / rows,
+                        train_mode=True, dropout=dropout, dropout_seed=[3, 4])
 
     def test_without_cache_matches_reference(self):
         params, _ = toy_params(seed=6, input_dim=5, hidden=(8, 4))
@@ -353,8 +367,8 @@ class TestWorkspaceOracle:
         rows = 6
         batch = np.random.default_rng(5).normal(size=(rows, 5))
         u, v = np.ones(rows), np.full(rows, -0.0)
-        _, _, ref_cache = reference_forward(params, batch)
-        masked = (np.column_stack([u, v]) @ weights[2]) * (ref_cache.pre_acts[1] > 0.0)
+        _, _, _, ref_pre_acts = reference_forward(params, batch)
+        masked = (np.column_stack([u, v]) @ weights[2]) * (ref_pre_acts[1] > 0.0)
         assert (masked[:, 0] == 0.0).all() and np.signbit(masked[:, 0]).all()
         self.check_step(params, batch, u, v)
 
@@ -364,14 +378,14 @@ class TestWorkspaceOracle:
         rows = 9
         _, _, cache = forward(params, rng.normal(size=(rows, 5)), train_mode=True,
                               dropout=0.25, dropout_seed=4)
-        snapshot = [a.copy() for a in (cache.inputs, *cache.pre_acts, *cache.post_acts,
+        snapshot = [a.copy() for a in (cache.inputs, *cache.post_acts,
                                        *cache.dropout_masks[:-1])]
         u, v = rng.normal(size=rows), rng.normal(size=rows)
         first = backward(params, cache, u, v)
         second = backward(params, cache, u, v)
         for a, b in zip((*first.weights, *first.biases), (*second.weights, *second.biases)):
             assert_bits_equal(a, b)
-        after = (cache.inputs, *cache.pre_acts, *cache.post_acts, *cache.dropout_masks[:-1])
+        after = (cache.inputs, *cache.post_acts, *cache.dropout_masks[:-1])
         for a, b in zip(snapshot, after):
             assert_bits_equal(a, b)
 
@@ -381,12 +395,31 @@ class TestWorkspaceOracle:
         first = forward(params, rng.normal(size=(7, 5)), train_mode=True,
                         dropout=0.25, dropout_seed=1)
         f0hat, g, cache = first
-        snapshot = [a.copy() for a in (f0hat, g, *cache.pre_acts, *cache.post_acts)]
+        snapshot = [a.copy() for a in (f0hat, g, *cache.post_acts)]
         for rows in (7, 3):
             forward(params, rng.normal(size=(rows, 5)), train_mode=True,
                     dropout=0.25, dropout_seed=2)
-        for a, b in zip(snapshot, (f0hat, g, *cache.pre_acts, *cache.post_acts)):
+        for a, b in zip(snapshot, (f0hat, g, *cache.post_acts)):
             assert_bits_equal(a, b)
+
+
+class TestForwardMemory:
+    def test_one_array_per_layer(self):
+        # The activations a forward pass keeps are one array per layer,
+        # 64 + 32 + 16 + 8 + 2 = 122 columns, with no second array for the
+        # pre-activations.
+        params, _ = toy_params(seed=2, input_dim=24, hidden=(64, 32, 16, 8))
+        rows = 4096
+        batch = np.random.default_rng(3).normal(size=(rows, 24))
+        tracemalloc.start()
+        try:
+            out = forward(params, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del out
+        kept = rows * 122 * 8
+        assert peak < 1.2 * kept, f"peak {peak / kept:.2f} x the kept activations"
 
 
 def two_branch_sigmoid(x):

@@ -178,6 +178,27 @@ def reference_nadam_scalar(grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8,
     return w
 
 
+def reference_nadam_per_array(m, v, step, mu_product, arrays, grads, lr):
+    """The per-array NAdam loop: one update per parameter array, moments as
+    lists of arrays; returns (new arrays, new m, new v, new mu_product)."""
+    t = step + 1
+    mu_t = training._mu(t)
+    mu_next = training._mu(t + 1)
+    mu_product = mu_product * mu_t
+    g_scale = lr * (1.0 - mu_t) / (1.0 - mu_product)
+    m_scale = lr * mu_next / (1.0 - mu_product * mu_next)
+    v_correction = 1.0 - training.NADAM_BETA2**t
+    new_p, new_m, new_v = [], [], []
+    for p, m_i, v_i, g in zip(arrays, m, v, grads):
+        m_i = training.NADAM_BETA1 * m_i + (1.0 - training.NADAM_BETA1) * g
+        v_i = training.NADAM_BETA2 * v_i + (1.0 - training.NADAM_BETA2) * g * g
+        denom = np.sqrt(v_i / v_correction) + training.NADAM_EPS
+        new_p.append(p - g_scale * g / denom - m_scale * m_i / denom)
+        new_m.append(m_i)
+        new_v.append(v_i)
+    return new_p, new_m, new_v, mu_product
+
+
 def scalar_params(w0=0.0):
     # 1-input, single hidden unit chain ending in the 2-unit head is overkill
     # for scalar tests; use a raw 1x1 stack shaped like a real model instead
@@ -252,6 +273,31 @@ class TestNadam:
         assert np.array_equal(params.weights[0], snapshot)
         assert state.step == 0
         assert not state.m[0].any()
+
+    def test_flat_update_bits_equal_per_array_loop(self):
+        # The quickstart network, (64, 24) ... (2, 8) and the biases, over
+        # steps whose gradients hold zeros, tiny and large values.
+        params = init_params(ModelConfig(input_dim=24, hidden_sizes=[64, 32, 16, 8]), seed=3)
+        rng = np.random.default_rng(21)
+        arrays = [*params.weights, *params.biases]
+        ref_m = [np.zeros_like(p) for p in arrays]
+        ref_v = [np.zeros_like(p) for p in arrays]
+        ref_mu = 1.0
+        state = init_optimizer(params)
+        for step, lr in enumerate((3e-4, 3e-4, 1e-2, 6e-5, 3e-4, 1e-3)):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-12, 3), size=p.shape)
+                     * (rng.random(p.shape) > 0.2) for p in arrays]
+            arrays, ref_m, ref_v, ref_mu = reference_nadam_per_array(
+                ref_m, ref_v, step, ref_mu, arrays, grads, lr)
+            n = params.n_layers
+            params, state = nadam_step(state, params, Gradients(grads[:n], grads[n:]), lr)
+            for got, want in zip((*params.weights, *params.biases), arrays):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            for got, want in ((state.m, ref_m), (state.v, ref_v)):
+                want = np.concatenate([a.ravel() for a in want])
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert state.step == step + 1 and state.mu_product == ref_mu
 
     def test_non_finite_gradient_rejected(self):
         params = scalar_params()
@@ -440,6 +486,15 @@ class TestTrainLoop:
         table = build_frame_table(train_ds)
         mc = ModelConfig(input_dim=99, hidden_sizes=[8])
         with pytest.raises(ValueError, match="input_dim"):
+            train(table, val_ds, mc, TrainConfig(max_epochs=1))
+
+    def test_validation_width_mismatch_names_both_widths(self):
+        table = build_frame_table(tiny_world()[0])
+        wide_spec = SynthSpec(n_speakers_per_gender=2, utts_per_speaker=2,
+                              frames_per_utt=150, d_bn=8, d_xv=2)
+        val_ds, _ = generate_synthetic_dataset(wide_spec, role="validation")
+        mc = ModelConfig(input_dim=table.rows.shape[1], hidden_sizes=[8])
+        with pytest.raises(ValueError, match="validation input width 10 != model input_dim 6"):
             train(table, val_ds, mc, TrainConfig(max_epochs=1))
 
 
