@@ -20,11 +20,22 @@ fi
 $F0SYNTH --version
 $F0SYNTH --help
 
-for world in world_a world_b; do
-  $F0SYNTH synthgen --seed 1 --out-dir "$TMP/$world" \
-    --set synth.n_speakers_per_gender=3 --set synth.utts_per_speaker=2 \
-    --set synth.frames_per_utt=40 --set synth.d_bn=2 --set synth.d_xv=2
-done
+# world_b reads world_a's settings from a config file that starts with a
+# UTF-8 byte-order mark and a comment line: it must give the same bytes.
+$F0SYNTH synthgen --seed 1 --out-dir "$TMP/world_a" \
+  --set synth.n_speakers_per_gender=3 --set synth.utts_per_speaker=2 \
+  --set synth.frames_per_utt=40 --set synth.d_bn=2 --set synth.d_xv=2
+printf '\xef\xbb\xbf# world_a, as a config file\n' > "$TMP/world_b.cfg"
+cat >> "$TMP/world_b.cfg" <<CFG
+seed = 1
+out_dir = $TMP/world_b
+synth.n_speakers_per_gender = 3
+synth.utts_per_speaker = 2
+synth.frames_per_utt = 40
+synth.d_bn = 2
+synth.d_xv = 2
+CFG
+$F0SYNTH synthgen --config "$TMP/world_b.cfg"
 diff -r "$TMP/world_a" "$TMP/world_b"
 for run in run_a run_b; do
   $F0SYNTH train --seed 1 --out-dir "$TMP/$run" \

@@ -9,12 +9,13 @@ Configuration is a flat key-value text file with dotted section keys::
     model.hidden_sizes = 64,32,16,8
 
 ``--set key=value`` overrides any config key; ``--seed`` and
-``--out-dir`` are shortcuts for the corresponding keys.  The ``synth.*``,
-``model.*`` and ``train.*`` keys are the int, float and int-list fields
-of SynthSpec, ModelConfig and TrainConfig; a key left unset keeps the
-dataclass default.  Every command
-is deterministic given its config, never mutates input files, and
-confines outputs to the configured output directory.
+``--out-dir`` are shortcuts for the corresponding keys.  Every key is
+declared once, in ``KEYS``, with its default, and a set value reads as
+its default's type.  The ``synth.*``, ``model.*`` and ``train.*`` keys
+are the fields of SynthSpec, ModelConfig and TrainConfig that have a
+default.  Every command is deterministic given its config, never
+mutates input files, and confines outputs to the configured output
+directory.
 
 Outputs per command (under out_dir):
   synthgen   train/validation/test manifests + feature trees, pool.csv
@@ -29,8 +30,7 @@ import argparse
 import dataclasses
 import sys
 import time
-import typing
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -70,85 +70,77 @@ class ConfigError(ValueError):
     """A config file or override cannot be parsed or is incomplete."""
 
 
+SECTIONS = {"synth": SynthSpec, "model": ModelConfig, "train": TrainConfig}
+
+# Every config key, to its default; ``None`` marks a required key.  The
+# section keys are the fields of SECTIONS that have a default, except
+# ``seed``, which comes from the top-level key.
+KEYS: dict[str, object] = {
+    "seed": TrainConfig.seed,
+    "out_dir": None,
+    **{f"{section}.{f.name}": f.default_factory() if f.default is MISSING else f.default
+       for section, cls in SECTIONS.items() for f in dataclasses.fields(cls)
+       if f.name != "seed" and (f.default is not MISSING or f.default_factory is not MISSING)},
+    "train.manifest": None,
+    "train.val_manifest": None,
+    "eval.manifest": None,
+    "eval.checkpoint": "",  # exactly one of these two is set
+    "eval.pred_manifest": "",
+    "eval.dataset_name": "test",
+    "anonymize.manifest": None,
+    "anonymize.pool": None,
+    "anonymize.checkpoint": None,  # read by the synthesis method only
+    "anonymize.method": "synthesis",
+    "anonymize.mode": "Ours",
+    "anonymize.gender_mode": anon.DEFAULT_GENDER_MODE,
+    "anonymize.n": anon.DEFAULT_N_FURTHEST,
+    "anonymize.k": anon.DEFAULT_K_AVERAGED,
+}
+
+# How a set value reads, by its default's type; any other value reads as written.
+_READERS = {int: (int, "an integer"), float: (float, "a number"),
+            list: (lambda raw: [int(tok) for tok in raw.split(",")],
+                   "a comma-separated integer list")}
+
+
 @dataclass
 class RunConfig:
-    """Flat string key-value settings with typed accessors."""
+    """Flat string key-value settings; ``config[key]`` reads one as its default's type."""
 
     values: dict[str, str]
 
     def __post_init__(self) -> None:
-        unknown = set(self.values) - KNOWN_KEYS
+        unknown = self.values.keys() - KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
+    def __getitem__(self, key: str):
+        """The key's value, or its default when unset.
 
-    def require(self, key: str) -> str:
-        """The key's value; a key that is unset or set empty raises ``ConfigError``."""
-        if not self.values.get(key):
-            raise ConfigError(f"missing required config key {key!r}")
-        return self.values[key]
-
-    def _typed(self, key, default, convert, type_name):
+        A required key that is unset or set empty raises ``ConfigError``.
+        """
+        default = KEYS[key]
         raw = self.values.get(key)
+        if default is None and not raw:
+            raise ConfigError(f"missing required config key {key!r}")
         if raw is None:
-            return default
+            return default.copy() if isinstance(default, list) else default
+        convert, type_name = _READERS.get(type(default), (str, None))
         try:
             return convert(raw)
         except ValueError:
             raise ConfigError(f"config key {key!r}: {raw!r} is not {type_name}") from None
 
-    def get_int(self, key: str, default: int) -> int:
-        return self._typed(key, default, int, "an integer")
-
-    def get_float(self, key: str, default: float) -> float:
-        return self._typed(key, default, float, "a number")
-
-    def get_int_list(self, key: str, default: list[int]) -> list[int]:
-        return self._typed(
-            key, default,
-            lambda raw: [int(tok) for tok in raw.split(",")],
-            "a comma-separated integer list")
-
     @property
     def seed(self) -> int:
-        seed = self.get_int("seed", TrainConfig.seed)
+        seed = self["seed"]
         if seed < 0:
             raise ConfigError(f"config key 'seed': {seed} is not a non-negative integer")
         return seed
 
     @property
     def out_dir(self) -> Path:
-        return Path(self.require("out_dir"))
-
-
-SECTIONS = {"synth": SynthSpec, "model": ModelConfig, "train": TrainConfig}
-_GETTERS = {int: RunConfig.get_int, float: RunConfig.get_float,
-            list[int]: RunConfig.get_int_list}
-
-
-def _keyed_fields(cls) -> dict:
-    """Field name -> typed getter for every field of ``cls`` that has a key.
-
-    ``seed`` comes from the top-level key and ``input_dim`` from the data.
-    """
-    hints = typing.get_type_hints(cls)
-    return {f.name: _GETTERS[hints[f.name]] for f in dataclasses.fields(cls)
-            if f.name not in ("seed", "input_dim") and hints[f.name] in _GETTERS}
-
-
-SECTION_FIELDS = {section: _keyed_fields(cls) for section, cls in SECTIONS.items()}
-
-KNOWN_KEYS = {f"{section}.{name}"
-              for section, fields in SECTION_FIELDS.items() for name in fields} | {
-    "seed", "out_dir",
-    "train.manifest", "train.val_manifest",
-    "eval.manifest", "eval.checkpoint", "eval.pred_manifest",
-    "eval.dataset_name",
-    "anonymize.manifest", "anonymize.pool", "anonymize.checkpoint", "anonymize.method",
-    "anonymize.mode", "anonymize.gender_mode", "anonymize.n", "anonymize.k",
-}
+        return Path(self["out_dir"])
 
 
 def section_config(config: RunConfig, section: str, **fixed):
@@ -156,8 +148,8 @@ def section_config(config: RunConfig, section: str, **fixed):
 
     Fields whose key is unset keep the dataclass default.
     """
-    values = {name: value for name, get in SECTION_FIELDS[section].items()
-              if (value := get(config, f"{section}.{name}", None)) is not None}
+    values = {f.name: config[key] for f in dataclasses.fields(SECTIONS[section])
+              if (key := f"{section}.{f.name}") in config.values}
     return SECTIONS[section](**values, **fixed)
 
 
@@ -250,8 +242,8 @@ def cmd_synthgen(config: RunConfig) -> dict:
 
 def cmd_train(config: RunConfig) -> dict:
     """Train on a manifest pair; write checkpoint.f0md and history.csv."""
-    train_manifest = config.require("train.manifest")
-    val_manifest = config.require("train.val_manifest")
+    train_manifest = config["train.manifest"]
+    val_manifest = config["train.val_manifest"]
     # Settings, train table and model, validation data, then out_dir.  The
     # validation Dataset is popped into train(), which drops it once its
     # arrays are built.
@@ -283,13 +275,13 @@ def cmd_eval(config: RunConfig) -> dict:
     the model on each utterance's features) or ``eval.pred_manifest``
     (compare stored trajectories utterance by utterance).
     """
-    truth_manifest = config.require("eval.manifest")
-    checkpoint = config.get("eval.checkpoint") or None  # set empty counts as unset
-    pred_manifest = config.get("eval.pred_manifest") or None
+    truth_manifest = config["eval.manifest"]
+    checkpoint = config["eval.checkpoint"] or None  # set empty counts as unset
+    pred_manifest = config["eval.pred_manifest"] or None
     if (checkpoint is None) == (pred_manifest is None):
         raise ConfigError(
             "set exactly one of eval.checkpoint or eval.pred_manifest")
-    dataset_name = config.get("eval.dataset_name", "test")
+    dataset_name = config["eval.dataset_name"]
     if not is_csv_field(dataset_name):
         raise ConfigError(f"eval.dataset_name {dataset_name!r} is not one CSV field")
     out_dir = config.out_dir
@@ -332,16 +324,16 @@ def cmd_anonymize(config: RunConfig) -> dict:
     the chosen pool members and target stats; the original-vs-output
     pitch correlation is checked against the 0.3 floor.
     """
-    manifest = config.require("anonymize.manifest")
-    pool_path = config.require("anonymize.pool")
-    method = config.get("anonymize.method", "synthesis")
+    manifest = config["anonymize.manifest"]
+    pool_path = config["anonymize.pool"]
+    method = config["anonymize.method"]
     if method not in ("synthesis", "shift_scale"):
         raise ConfigError(f"anonymize.method must be synthesis or shift_scale, got {method!r}")
-    checkpoint = config.require("anonymize.checkpoint") if method == "synthesis" else None
-    mode = anon.ContrastiveMode.parse(config.get("anonymize.mode", "Ours"))
-    gender_mode = config.get("anonymize.gender_mode", anon.DEFAULT_GENDER_MODE)
-    n = config.get_int("anonymize.n", anon.DEFAULT_N_FURTHEST)
-    k = config.get_int("anonymize.k", anon.DEFAULT_K_AVERAGED)
+    checkpoint = config["anonymize.checkpoint"] if method == "synthesis" else None
+    mode = anon.ContrastiveMode.parse(config["anonymize.mode"])
+    gender_mode = config["anonymize.gender_mode"]
+    n = config["anonymize.n"]
+    k = config["anonymize.k"]
     seed = config.seed
     out_dir = config.out_dir
 

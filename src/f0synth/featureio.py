@@ -69,11 +69,11 @@ def is_csv_field(value: str) -> bool:
 
 
 def check_id(kind: str, value: str) -> None:
-    """Reject an id that cannot be one CSV field and, as ``<id>.xvec``, one file name."""
-    if (not value or "/" in value or "\\" in value or "\0" in value
+    """Reject an id unfit for a CSV field, an item of a ``;``-joined list or ``<id>.xvec``."""
+    if (not value or "/" in value or "\\" in value or ";" in value or "\0" in value
             or not is_csv_field(value) or len(f"{value}.xvec".encode()) > 255):
-        raise ValueError(f"{kind} {value!r} must be non-empty, contain no '/', '\\', ',', NUL, "
-                         f"line break or outer space, and fit a 255-byte '<id>.xvec'")
+        raise ValueError(f"{kind} {value!r} must be non-empty, contain no '/', '\\', ',', ';', "
+                         f"NUL, line break or outer space, and fit a 255-byte '<id>.xvec'")
 
 
 class Gender(Enum):
@@ -292,10 +292,10 @@ def read_feature_file(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def read_text(path: Path) -> str:
-    """A UTF-8 text file's contents; a byte that does not decode names the file."""
+    """UTF-8 text less one leading BOM; a byte that does not decode names the file."""
     data = path.read_bytes()
     with at_row(path):
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
 
 
 def read_csv(path: Path, columns: tuple[str, ...],

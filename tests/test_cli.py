@@ -18,7 +18,7 @@ import pytest
 from f0synth.anonymize import POOL_COLUMNS, SpeakerPool, load_pool, pool_from_dataset, write_pool
 from f0synth.cli import (
     ANON_LOG_COLUMNS,
-    KNOWN_KEYS,
+    KEYS,
     ConfigError,
     RunConfig,
     build_config,
@@ -40,6 +40,7 @@ from f0synth.featureio import (
     write_dataset,
     write_feature_file,
 )
+from f0synth import anonymize as anon
 from f0synth import cli, metrics
 from f0synth.metrics import REPORT_COLUMNS, evaluate_utterances, report_csv_row
 from f0synth.model import ModelConfig, ModelParams, load_checkpoint, predict_f0, save_checkpoint
@@ -172,7 +173,7 @@ class TestConfigParsing:
         config = build_config(str(cfg), overrides=("train.lr=0.5",),
                               seed=9, out_dir="from_flag")
         assert config.seed == 9
-        assert config.get_float("train.lr", 0.0) == 0.5
+        assert config["train.lr"] == 0.5
         assert config.out_dir == Path("from_flag")
 
     def test_missing_config_file_rejected(self):
@@ -185,6 +186,18 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=re.escape(f"{path}: 'utf-8' codec")):
             build_config(str(path))
 
+    def test_config_file_with_a_byte_order_mark_reads(self, tmp_path):
+        # Windows editors write a UTF-8 BOM; one leading BOM is dropped.
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbf# comment\nseed = 3\nout_dir = x\n")
+        assert build_config(str(path)).values == {"seed": "3", "out_dir": "x"}
+        path.write_bytes(b"\xef\xbb\xbfseed = 3\n")
+        assert build_config(str(path)).seed == 3
+        # A BOM anywhere else is part of the text.
+        path.write_bytes(b"out_dir = x\n\xef\xbb\xbfseed = 3\n")
+        with pytest.raises(ConfigError, match=re.escape("unknown config keys: ['\\ufeffseed']")):
+            build_config(str(path))
+
     def test_bad_set_syntax_rejected(self):
         with pytest.raises(ConfigError, match="--set"):
             build_config(None, overrides=("seedless",))
@@ -192,24 +205,60 @@ class TestConfigParsing:
     def test_typed_accessors(self):
         config = RunConfig({"seed": "3", "train.lr": "0.25",
                             "model.hidden_sizes": "8,4", "out_dir": "x"})
-        assert config.get_int("seed", 0) == 3
-        assert config.get_float("train.lr", 0.0) == 0.25
-        assert config.get_int_list("model.hidden_sizes", []) == [8, 4]
-        assert config.get_int("train.batch_size", 77) == 77
+        assert config["seed"] == 3
+        assert config["train.lr"] == 0.25
+        assert config["model.hidden_sizes"] == [8, 4]
+        assert config["train.batch_size"] == TrainConfig.batch_size
         with pytest.raises(ConfigError, match="missing required"):
-            config.require("train.manifest")
+            config["train.manifest"]
 
     def test_bad_typed_value_rejected(self):
         config = RunConfig({"seed": "x", "out_dir": "d"})
         with pytest.raises(ConfigError, match="not an integer"):
-            config.get_int("seed", 0)
+            config["seed"]
+        with pytest.raises(ConfigError, match=re.escape(
+                "config key 'train.lr': 'fast' is not a number")):
+            RunConfig({"train.lr": "fast"})["train.lr"]
         # Every comma-separated item must be an integer: none is dropped.
         for value in ("64,,32", "64,", ","):
             config = RunConfig({"model.hidden_sizes": value})
             with pytest.raises(ConfigError, match=re.escape(
                     f"config key 'model.hidden_sizes': {value!r} is not a "
                     "comma-separated integer list")):
-                config.get_int_list("model.hidden_sizes", [])
+                config["model.hidden_sizes"]
+
+
+class TestKeys:
+    @pytest.mark.parametrize("key", sorted(KEYS))
+    def test_unset_key_reads_its_default(self, key):
+        if KEYS[key] is None:
+            for values in ({}, {key: ""}):  # set empty counts as unset
+                with pytest.raises(ConfigError, match=re.escape(
+                        f"missing required config key {key!r}")):
+                    RunConfig(values)[key]
+        else:
+            assert RunConfig({})[key] == KEYS[key]
+
+    @pytest.mark.parametrize("key", sorted(KEYS))
+    def test_set_key_reads_as_its_default_type(self, key):
+        text, value = {int: ("7", 7), float: ("7", 7.0),
+                       list: ("3,2", [3, 2])}.get(type(KEYS[key]), (" a/b;c ", " a/b;c "))
+        read = RunConfig({key: text})[key]
+        assert read == value and type(read) is type(value)
+
+    def test_unset_anonymize_keys_read_the_selection_defaults(self):
+        config = RunConfig({})
+        assert config["anonymize.gender_mode"] == anon.DEFAULT_GENDER_MODE
+        assert config["anonymize.n"] == anon.DEFAULT_N_FURTHEST
+        assert config["anonymize.k"] == anon.DEFAULT_K_AVERAGED
+
+    def test_unset_list_read_is_a_fresh_list(self):
+        config = RunConfig({})
+        config["model.hidden_sizes"].append(1)
+        assert config["model.hidden_sizes"] == ModelConfig(input_dim=1).hidden_sizes
+        built = section_config(config, "model", input_dim=7).hidden_sizes
+        assert built is not KEYS["model.hidden_sizes"]
+        assert built == KEYS["model.hidden_sizes"]
 
 
 SECTION_CLASSES = {"synth": SynthSpec, "model": ModelConfig, "train": TrainConfig}
@@ -228,12 +277,20 @@ class TestConfigDefaults:
             default = cls(**fixed[section])
             hints = typing.get_type_hints(cls)
             for f in dataclasses.fields(cls):
-                kind = hints[f.name]
-                if f.name in ("seed", "input_dim") or kind not in (int, float, list[int]):
-                    continue
                 key = f"{section}.{f.name}"
-                assert key in KNOWN_KEYS
+                has_default = (f.default, f.default_factory) != (dataclasses.MISSING,) * 2
+                assert (key in KEYS) == (has_default and f.name != "seed"), key
+                if key not in KEYS:
+                    continue
                 old = getattr(default, f.name)
+                assert KEYS[key] == old, key
+                # The default's type is one config[key] converts: its text reads back as it.
+                text = ",".join(map(str, old)) if isinstance(old, list) else str(old)
+                back = RunConfig({key: text})[key]
+                assert back == old and type(back) is type(old), key
+                kind = hints[f.name]
+                if kind not in (int, float, list[int]):
+                    continue
                 if kind is int:
                     new, text = old + 1, str(old + 1)
                 elif kind is float:
@@ -888,6 +945,26 @@ class TestAnonymizeCommand:
             cmd_anonymize(anon_config(out, world_dir, None,
                                       **{"anonymize.method": "shift_scale",
                                          "anonymize.pool": pool_path}))
+        assert not out.exists()
+
+    def test_pool_id_with_semicolon_fails_at_its_line(self, tmp_path, world_dir):
+        # anon_log.csv joins the chosen pool ids with ';', so no id may hold one.
+        lines = (world_dir / "pool.csv").read_text().splitlines()
+        rows = [lines[0]] + [line.replace(",pool_xvecs/", f",{world_dir}/pool_xvecs/")
+                             for line in lines[1:]]
+        rows[3] = rows[3][:2] + ";" + rows[3][2:]
+        pool_path = write_manifest(tmp_path / "pool" / "pool.csv", rows)
+        out = tmp_path / "anon"
+        result = run_cli([
+            "anonymize", "--out-dir", str(out),
+            "--set", f"anonymize.manifest={world_dir / 'test' / 'manifest.csv'}",
+            "--set", f"anonymize.pool={pool_path}",
+            "--set", "anonymize.method=shift_scale",
+            "--set", "anonymize.n=2", "--set", "anonymize.k=2"])
+        assert result.exit_code == 1
+        bad_id = rows[3].split(",")[0]
+        assert f"error: {pool_path}:4: speaker_id {bad_id!r} must be" in result.output
+        assert "';'" in result.output
         assert not out.exists()
 
     def test_checkpoint_width_mismatch_fails_before_writing(self, tmp_path, world_dir):

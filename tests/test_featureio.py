@@ -309,11 +309,11 @@ class TestUtterance:
 
     @pytest.mark.parametrize("bad", ["", "../../escaped", "a\\b", "a,b", "a\nb", "a\rb",
                                      " a", "a ", "a\tb\t", "a\x85b", "a\u2028b", "a\x00b",
-                                     "x" * 251, "\u00e9" * 126])
+                                     "x" * 251, "\u00e9" * 126, "F0;02", ";", "a;"])
     def test_ids_unfit_for_csv_or_file_name_rejected(self, bad):
         with pytest.raises(ValueError, match="utt_id"):
             make_utt(utt_id=bad)
-        with pytest.raises(ValueError, match="speaker_id"):
+        with pytest.raises(ValueError, match="speaker_id .*';'"):
             make_utt(speaker_id=bad)
 
     def test_voiced_mask_zero_is_unvoiced(self):
@@ -444,6 +444,18 @@ class TestManifest:
         data = manifest.read_bytes()
         manifest.write_bytes(data.replace(b",F,", b",\xff,"))
         with pytest.raises(FormatError, match=re.escape(f"{manifest}: 'utf-8' codec")):
+            load_manifest(manifest)
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a UTF-8 BOM.
+        manifest = write_dataset(Dataset([make_utt()]), tmp_path)
+        data = manifest.read_bytes()
+        manifest.write_bytes(b"\xef\xbb\xbf" + data)
+        (utt,) = load_manifest(manifest).utterances
+        assert (utt.utt_id, utt.speaker_id) == ("u0", "s0")
+        # Only one is dropped: a second one is part of the header.
+        manifest.write_bytes(b"\xef\xbb\xbf" * 2 + data)
+        with pytest.raises(FormatError, match="header must be"):
             load_manifest(manifest)
 
     def test_dimension_mismatch_rejected(self, tmp_path):

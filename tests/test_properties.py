@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -72,6 +72,16 @@ def test_accepted_id_names_its_feature_files(utt_id):
     assert [(u.utt_id, u.speaker_id) for u in back] == [(utt_id, utt_id)]
     for name in ("f0", "bn", "xvec"):
         assert bits(getattr(back[0], name)) == bits(getattr(utt, name))
+
+
+# anon_log.csv writes a selection's pool speaker ids as one ';'-joined field.
+@reproducible
+@given(st.lists(st.text(code_points, min_size=1, max_size=20), min_size=1, max_size=4))
+@example(["F0;02", "F0;01", "F002"])
+def test_accepted_ids_split_back_from_a_semicolon_list(ids):
+    ids = [value for value in ids if accepted(value)]
+    assume(ids)
+    assert ";".join(ids).split(";") == ids
 
 
 # A one-column row of one empty field would be a blank line, which read_csv
