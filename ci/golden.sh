@@ -1,57 +1,122 @@
 #!/usr/bin/env bash
-# Runs the README quickstart (synthgen, train, eval, and anonymize with
-# both methods, n=5, k=3) with one BLAS thread into a temporary directory
-# and compares its outputs with ci/golden/quickstart.json: the digest of
-# the sha256sum listing of every file written, and the hashes of
-# run/checkpoint.f0md and run/history.csv.  A second training, 3 epochs
-# at dropout 0.2, goes to dropout/, outside the listing, and its
-# checkpoint and history hashes are compared too, so the dropout path is
-# pinned to bytes as well.  The record also names the machine it was
-# made on (numpy, BLAS, CPU model).  On that machine a mismatch fails the
-# script; on another one the script prints both records and exits 0,
-# since BLAS kernels may round differently there, so off that machine it
-# checks only that every command of the recipe runs.
-# Runs the source tree; from any directory of a checkout:
+# End-to-end check of the command line: runs the README quickstart once
+# (synthgen, train, eval, anonymize with both methods at n=5, k=3, and a
+# 3-epoch training at dropout 0.2 into dropout/), with one BLAS thread, in
+# a temporary directory.  Then, on every machine, it compares the run with
+# itself, each comparison writing outside world/ and run/:
+#   1. --version and --help run;
+#   2. the world rebuilt on one CPU (taskset -c 0) is the same tree;
+#   3. the dropout run at 2 BLAS threads gives the same checkpoint and history;
+#   4. a config file that starts with a UTF-8 byte-order mark and a comment
+#      line gives the world of --set;
+#   5. the test manifest copied elsewhere with absolute feature paths gives
+#      eval and shift_scale anonymize the same bytes;
+#   6. eval on a checkpoint whose dropout field is 0.9 exits 1, names the
+#      file and writes nothing.
+# Last it compares the outputs with ci/golden/quickstart.json: the digest of
+# the sha256sum listing of every file under world/ and run/, and the hashes
+# of both checkpoints and histories.  That record names the machine it was
+# made on (numpy, BLAS, CPU model).  There a mismatch fails; on another
+# machine, whose BLAS may round differently, the script prints both records
+# and exits 0.  A change that moves the outputs on purpose commits the
+# "this run" record it prints in place of ci/golden/quickstart.json.
+#
+# Runs the command in $F0SYNTH when it is set, adding nothing to PYTHONPATH,
+# else the source tree; from any directory of a checkout:
 #
 #   bash ci/golden.sh
-#
-# A change that moves the outputs on purpose commits the "this run"
-# record it prints in place of ci/golden/quickstart.json.
+#   F0SYNTH=f0synth bash ci/golden.sh    # the installed entry point
 set -euo pipefail
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
-export PYTHONPATH="$repo/src${PYTHONPATH:+:$PYTHONPATH}"
+if [ -z "${F0SYNTH:-}" ]; then
+  F0SYNTH="python -m f0synth.cli"
+  export PYTHONPATH="$repo/src${PYTHONPATH:+:$PYTHONPATH}"
+fi
+read -ra cmd <<< "$F0SYNTH"
+f0synth() { command "${cmd[@]}" "$@"; }
 export OPENBLAS_NUM_THREADS=1 LC_ALL=C
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work"
 
-f0synth() { python -m f0synth.cli "$@"; }
+world=(--seed 11 --set synth.n_speakers_per_gender=10
+       --set synth.utts_per_speaker=5 --set synth.frames_per_utt=520)
+train=(--seed 11 --set train.manifest=world/train/manifest.csv
+       --set train.val_manifest=world/validation/manifest.csv
+       --set model.hidden_sizes=64,32,16,8
+       --set train.batch_size=4096 --set train.lr=0.0003)
+dropout=(--set model.dropout=0.2 --set train.max_epochs=3)
+anonymize=(--seed 0 --set anonymize.pool=world/pool.csv
+           --set anonymize.checkpoint=run/checkpoint.f0md
+           --set anonymize.n=5 --set anonymize.k=3)
 
-f0synth synthgen --seed 11 --out-dir world \
-  --set synth.n_speakers_per_gender=10 --set synth.utts_per_speaker=5 \
-  --set synth.frames_per_utt=520 > /dev/null
-f0synth train --seed 11 --out-dir run \
-  --set train.manifest=world/train/manifest.csv \
-  --set train.val_manifest=world/validation/manifest.csv \
-  --set model.hidden_sizes=64,32,16,8 \
-  --set train.batch_size=4096 --set train.lr=0.0003 > /dev/null
-f0synth train --seed 11 --out-dir dropout \
-  --set train.manifest=world/train/manifest.csv \
-  --set train.val_manifest=world/validation/manifest.csv \
-  --set model.hidden_sizes=64,32,16,8 --set model.dropout=0.2 \
-  --set train.batch_size=4096 --set train.lr=0.0003 --set train.max_epochs=3 > /dev/null
+f0synth synthgen --out-dir world "${world[@]}" > /dev/null
+f0synth train --out-dir run "${train[@]}" > /dev/null
+f0synth train --out-dir dropout "${train[@]}" "${dropout[@]}" > /dev/null
 f0synth eval --out-dir run/eval \
   --set eval.manifest=world/test/manifest.csv \
   --set eval.checkpoint=run/checkpoint.f0md > /dev/null
 for method in synthesis shift_scale; do
-  f0synth anonymize --seed 0 --out-dir "run/anon_$method" \
+  f0synth anonymize --out-dir "run/anon_$method" "${anonymize[@]}" \
     --set anonymize.method=$method \
-    --set anonymize.manifest=world/test/manifest.csv \
-    --set anonymize.pool=world/pool.csv \
-    --set anonymize.checkpoint=run/checkpoint.f0md \
-    --set anonymize.n=5 --set anonymize.k=3 > /dev/null
+    --set anonymize.manifest=world/test/manifest.csv > /dev/null
 done
+
+# 1.
+f0synth --version
+f0synth --help > /dev/null
+
+# 2. synthgen draws on every CPU it may run on.
+taskset -c 0 "${cmd[@]}" synthgen --out-dir world_cpu0 "${world[@]}" > /dev/null
+diff -r world world_cpu0
+
+# 3. The quickstart's GEMMs are large enough for OpenBLAS to thread.
+OPENBLAS_NUM_THREADS=2 f0synth train --out-dir dropout_2threads \
+  "${train[@]}" "${dropout[@]}" > /dev/null
+cmp dropout/checkpoint.f0md dropout_2threads/checkpoint.f0md
+cmp dropout/history.csv dropout_2threads/history.csv
+
+# 4.
+{
+  printf '\xef\xbb\xbf# the quickstart world, as a config file\n'
+  printf '%s\n' "seed = 11" "out_dir = world_cfg" "synth.n_speakers_per_gender = 10" \
+    "synth.utts_per_speaker = 5" "synth.frames_per_utt = 520"
+} > world.cfg
+f0synth synthgen --config world.cfg > /dev/null
+diff -r world world_cfg
+
+# 5. Every row's three feature paths must come out absolute.
+mkdir abs
+sed "s|,features/|,$work/world/test/features/|g" world/test/manifest.csv > abs/manifest.csv
+if ! awk -F, 'NR > 1 && !($4 ~ /^\// && $5 ~ /^\// && $6 ~ /^\//) { exit 1 }' \
+    abs/manifest.csv; then
+  echo "a relative path is left in abs/manifest.csv"; exit 1
+fi
+f0synth eval --out-dir eval_abs \
+  --set eval.manifest=abs/manifest.csv \
+  --set eval.checkpoint=run/checkpoint.f0md > /dev/null
+diff -r run/eval eval_abs
+f0synth anonymize --out-dir anon_abs "${anonymize[@]}" \
+  --set anonymize.method=shift_scale \
+  --set anonymize.manifest=abs/manifest.csv > /dev/null
+diff -r run/anon_shift_scale anon_abs
+
+# 6. The dropout field follows the layer widths; 0.9 as a little-endian double.
+cp run/checkpoint.f0md bad_dropout.f0md
+n_layers=$(od -An -tu4 -j8 -N4 bad_dropout.f0md)
+printf '\xcd\xcc\xcc\xcc\xcc\xcc\xec\x3f' |
+  dd of=bad_dropout.f0md bs=1 seek=$((16 + 4 * n_layers)) conv=notrunc status=none
+status=0
+f0synth eval --out-dir eval_bad --set eval.manifest=world/test/manifest.csv \
+  --set eval.checkpoint=bad_dropout.f0md 2> eval_bad.err || status=$?
+if [ "$status" != 1 ] || [ -e eval_bad ] \
+    || ! grep -qF "error: bad_dropout.f0md: dropout must be in" eval_bad.err; then
+  cat eval_bad.err
+  echo "eval on bad_dropout.f0md exited $status: it must exit 1, name the file and write nothing"
+  exit 1
+fi
+
 find world run -type f | sort | xargs sha256sum > listing.txt
 sha256sum {run,dropout}/checkpoint.f0md {run,dropout}/history.csv > files.txt
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import shutil
 import sys
 import time
 from dataclasses import MISSING, dataclass
@@ -44,6 +45,7 @@ from .featureio import (
     is_csv_field,
     load_manifest,
     read_text,
+    remove_dataset,
     write_csv,
     write_dataset,
     write_feature_file,
@@ -224,17 +226,28 @@ def cmd_synthgen(config: RunConfig) -> dict:
     spec = section_config(config, "synth", seed=config.seed)
     out_dir = config.out_dir
     manifests: dict[str, Path] = {}
-    # One role is alive at a time: the pool keeps only per-speaker stats.
-    # It is built before anything is written, so a world that cannot
-    # yield one fails with no files left behind.
-    for role in ("train", "validation", "test"):
-        dataset, _ = generate_synthetic_dataset(spec, role=role)
-        if role == "train":
-            pool = anon.pool_from_dataset(dataset)
-        manifests[role] = write_dataset(dataset, out_dir / role)
-        print(f"{role}: {manifests[role]} ({len(dataset)} utterances, "
-              f"{dataset.total_frames} frames)")
-        del dataset
+    lines = []
+    # One role is alive at a time: the pool keeps only per-speaker stats.  A
+    # role whose F0 overflows raises before it writes; the roles written before
+    # it and the directories this call made are then removed, so a world that
+    # fails leaves no files behind.
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    try:
+        for role in ("train", "validation", "test"):
+            dataset, _ = generate_synthetic_dataset(spec, role=role)
+            if role == "train":
+                pool = anon.pool_from_dataset(dataset)
+            manifests[role] = write_dataset(dataset, out_dir / role)
+            lines.append(f"{role}: {manifests[role]} ({len(dataset)} utterances, "
+                         f"{dataset.total_frames} frames)")
+            del dataset
+    except ValueError:
+        for manifest in manifests.values():
+            remove_dataset(manifest)
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
+    print("\n".join(lines))
     pool_path = anon.write_pool(pool, out_dir)
     print(f"pool: {pool_path} ({2 * spec.n_speakers_per_gender} speakers)")
     return {"manifests": manifests, "pool": pool_path}

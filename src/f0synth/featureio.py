@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -379,6 +379,17 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
         rows.append([utt.utt_id, utt.speaker_id, utt.gender.value, *rel])
     return write_csv(out_dir / "manifest.csv", MANIFEST_COLUMNS, rows)
 
+
+def remove_dataset(manifest: Path) -> None:
+    """Undo ``write_dataset``: remove the manifest and the feature files it
+    names, then ``features/`` and the manifest's directory if left empty."""
+    for _, fields in read_csv(manifest, MANIFEST_COLUMNS, MANIFEST_COLUMNS[3:]):
+        for path in fields[3:]:
+            os.remove(path)
+    manifest.unlink()
+    for directory in (manifest.parent / "features", manifest.parent):
+        with suppress(OSError):
+            directory.rmdir()
 
 # ---------------------------------------------------------------------------
 # frame tables and normalization statistics

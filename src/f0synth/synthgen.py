@@ -204,11 +204,11 @@ def generate_synthetic_dataset(
     The same spec shares ground-truth mapping and speakers across roles
     but draws fresh utterances per role, so train/validation/test splits
     come from one world without frame overlap.  Same (spec, role) twice
-    yields bit-identical datasets, on any number of CPUs.
+    yields bit-identical datasets, on any number of CPUs.  A role whose F0
+    overflows float32 raises ``ValueError`` naming the settings that scale it.
     """
     if role not in DATASET_ROLES:
         raise ValueError(f"role must be one of {DATASET_ROLES}, got {role!r}")
-    mapping = _make_mapping(spec)
     role_stream = _STREAM_UTT_BASE + DATASET_ROLES.index(role)
     noise_log_std = spec.noise_std_cents * LOG_PER_CENT
     speakers = [(gender_idx, gender, spk_idx, _speaker_xvec(spec, gender_idx, spk_idx))
@@ -224,26 +224,37 @@ def generate_synthetic_dataset(
     from concurrent.futures import ThreadPoolExecutor
 
     cpus = _usable_cpus()
-    # Threads start on the first submit, so one CPU starts none.
-    with ThreadPoolExecutor(max_workers=max(1, cpus - 1)) as pool:
-        for start in range(0, len(keys), block):
-            chunk = keys[start:start + block]
-            rngs = [np.random.default_rng([spec.seed, role_stream, g_idx, spk_idx, utt_idx])
-                    for (g_idx, _, spk_idx, _), utt_idx in chunk]
-            walks = _block_walks(rngs, spec.frames_per_utt, spec.d_bn, pool, cpus)
-            for ((_, gender, spk_idx, xvec), utt_idx), rng, bn in zip(chunk, rngs, walks):
-                speaker_id = f"{gender.value}{spk_idx:03d}"
-                bn32 = bn.astype(np.float32)
-                logf0 = mapping.logf0(gender, bn32)
-                if noise_log_std > 0:
-                    logf0 += rng.normal(0.0, noise_log_std, size=len(logf0))
-                f0 = np.where(mapping.voiced_mask(bn32), np.exp(logf0), 0.0).astype(np.float32)
-                utterances.append(Utterance(
-                    utt_id=f"{speaker_id}_{role}{utt_idx:03d}",
-                    speaker_id=speaker_id,
-                    gender=gender,
-                    f0=f0,
-                    bn=bn32,
-                    xvec=xvec,
-                ))
+    # Threads start on the first submit, so one CPU starts none.  Only the
+    # F0 law can overflow (the weights, exp, the float32 cast): it raises.
+    try:
+        with (ThreadPoolExecutor(max_workers=max(1, cpus - 1)) as pool,
+              np.errstate(over="raise")):
+            mapping = _make_mapping(spec)
+            for start in range(0, len(keys), block):
+                chunk = keys[start:start + block]
+                rngs = [np.random.default_rng([spec.seed, role_stream, g_idx, spk_idx, utt_idx])
+                        for (g_idx, _, spk_idx, _), utt_idx in chunk]
+                walks = _block_walks(rngs, spec.frames_per_utt, spec.d_bn, pool, cpus)
+                for ((_, gender, spk_idx, xvec), utt_idx), rng, bn in zip(chunk, rngs, walks):
+                    speaker_id = f"{gender.value}{spk_idx:03d}"
+                    bn32 = bn.astype(np.float32)
+                    logf0 = mapping.logf0(gender, bn32)
+                    if noise_log_std > 0:
+                        logf0 += rng.normal(0.0, noise_log_std, size=len(logf0))
+                    f0 = np.where(mapping.voiced_mask(bn32), np.exp(logf0),
+                                  0.0).astype(np.float32)
+                    utterances.append(Utterance(
+                        utt_id=f"{speaker_id}_{role}{utt_idx:03d}",
+                        speaker_id=speaker_id,
+                        gender=gender,
+                        f0=f0,
+                        bn=bn32,
+                        xvec=xvec,
+                    ))
+    except FloatingPointError:
+        raise ValueError(
+            f"the {role} role's F0 overflows float32: lower synth.base_f0_female "
+            f"({spec.base_f0_female:g}), synth.base_f0_male ({spec.base_f0_male:g}), "
+            f"synth.weight_scale ({spec.weight_scale:g}) or synth.noise_std_cents "
+            f"({spec.noise_std_cents:g})") from None
     return Dataset(utterances), mapping

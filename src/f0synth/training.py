@@ -267,6 +267,7 @@ def train(
     returned parameters are the copy that achieved the best validation
     metric, not the last epoch's.  Training rows are normalized per batch,
     validation rows once per run, after which ``val_dataset`` is dropped.
+    An epoch whose arithmetic overflows raises ``ValueError`` naming it.
     """
     if train_table.n_rows == 0:
         raise ValueError("empty training table")
@@ -295,34 +296,44 @@ def train(
     best_params = params.copy()
     n = train_table.n_rows
 
-    for epoch in range(train_config.max_epochs):
-        epoch_lr = sched.current_lr
-        perm = np.random.default_rng(train_config.seed + epoch).permutation(n)
-        loss_sum = 0.0
-        for batch_idx, start in enumerate(range(0, n, train_config.batch_size)):
-            idx = perm[start:start + train_config.batch_size]
-            f0hat, g, cache = forward(
-                params, params.norm.normalize_inputs(train_table.rows[idx]), train_mode=True,
-                dropout=model_config.dropout,
-                dropout_seed=[train_config.seed, epoch, batch_idx],
-            )
-            loss, d_f0hat, d_g = composite_loss(
-                f0hat, g, targets[idx], train_table.voiced[idx], train_config.alpha)
-            grads = backward(params, cache, d_f0hat, d_g)
-            # Frees this pass's activations before the next forward allocates.
-            del f0hat, g, cache
-            params, opt = nadam_step(opt, params, grads, epoch_lr)
-            loss_sum += loss * len(idx)
-        train_loss = loss_sum / n
+    # An overflow raises (a Python float sum does not, so it is checked),
+    # named with the epoch and the settings that scale the loss and the steps.
+    settings = f"train.alpha {train_config.alpha:g}, train.lr {train_config.lr:g}"
+    try:
+        with np.errstate(over="raise"):
+            for epoch in range(train_config.max_epochs):
+                epoch_lr = sched.current_lr
+                perm = np.random.default_rng(train_config.seed + epoch).permutation(n)
+                loss_sum = 0.0
+                for batch_idx, start in enumerate(range(0, n, train_config.batch_size)):
+                    idx = perm[start:start + train_config.batch_size]
+                    f0hat, g, cache = forward(
+                        params, params.norm.normalize_inputs(train_table.rows[idx]),
+                        train_mode=True, dropout=model_config.dropout,
+                        dropout_seed=[train_config.seed, epoch, batch_idx],
+                    )
+                    loss, d_f0hat, d_g = composite_loss(
+                        f0hat, g, targets[idx], train_table.voiced[idx], train_config.alpha)
+                    grads = backward(params, cache, d_f0hat, d_g)
+                    # Frees this pass's activations before the next forward allocates.
+                    del f0hat, g, cache
+                    params, opt = nadam_step(opt, params, grads, epoch_lr)
+                    loss_sum += loss * len(idx)
+                if not np.isfinite(loss_sum):
+                    raise ValueError(f"epoch {epoch + 1} ({settings}): "
+                                     f"overflow encountered in the train loss sum")
+                train_loss = loss_sum / n
 
-        metric = validation_metric(params, val_rows, val_f0)
-        action = scheduler_update(sched, metric)
-        if sched.epochs_since_improve == 0:
-            best_params = params.copy()
-        event = action if action != "continue" else "none"
-        history.records.append(EpochRecord(
-            epoch=epoch + 1, train_loss=train_loss, val_metric=metric,
-            lr=epoch_lr, event=event))
-        if action == "stop":
-            break
+                metric = validation_metric(params, val_rows, val_f0)
+                action = scheduler_update(sched, metric)
+                if sched.epochs_since_improve == 0:
+                    best_params = params.copy()
+                event = action if action != "continue" else "none"
+                history.records.append(EpochRecord(
+                    epoch=epoch + 1, train_loss=train_loss, val_metric=metric,
+                    lr=epoch_lr, event=event))
+                if action == "stop":
+                    break
+    except FloatingPointError as exc:
+        raise ValueError(f"epoch {epoch + 1} ({settings}): {exc}") from None
     return best_params, history

@@ -379,6 +379,41 @@ class TestSynthgenCommand:
             in result.output
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key, value", [("synth.base_f0_female", "1e308"),
+                                            ("synth.weight_scale", "1e308"),
+                                            ("synth.weight_scale", "300")])
+    def test_f0_overflow_fails_naming_key_before_writing(self, tmp_path, key, value):
+        out = tmp_path / "w"
+        args = ["synthgen", "--out-dir", str(out), "--set", f"{key}={value}"]
+        for world_key, world_value in WORLD_KEYS.items():
+            args += ["--set", f"{world_key}={world_value}"]
+        result = run_cli(args)
+        assert result.exit_code == 1
+        assert result.output.startswith("error: the train role's F0 overflows float32: lower ")
+        assert f"{key} ({float(value):g})" in result.output
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_later_role_overflow_removes_the_roles_written(self, tmp_path, existing):
+        # at this seed and scale the train role fits float32, the validation role does not
+        out = tmp_path / "new" / "w"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept\n")
+        result = run_cli(["synthgen", "--out-dir", str(out), "--seed", "6",
+                          "--set", "synth.n_speakers_per_gender=3",
+                          "--set", "synth.utts_per_speaker=3",
+                          "--set", "synth.frames_per_utt=120",
+                          "--set", "synth.weight_scale=20"])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: the validation role's F0 overflows float32: ")
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
     def test_cli_exit_zero_on_success(self, tmp_path):
         result = run_cli([
             "synthgen", "--out-dir", str(tmp_path / "w"), "--seed", "1",
@@ -425,6 +460,20 @@ class TestTrainCommand:
             (trained_dir / "history.csv").read_bytes()
         assert (out / "checkpoint.f0md").read_bytes() == \
             (trained_dir / "checkpoint.f0md").read_bytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_alpha_fails_naming_epoch_without_outputs(self, tmp_path, world_dir):
+        out = tmp_path / "run"
+        result = run_cli([
+            "train", "--out-dir", str(out),
+            "--set", f"train.manifest={world_dir / 'train' / 'manifest.csv'}",
+            "--set", f"train.val_manifest={world_dir / 'validation' / 'manifest.csv'}",
+            "--set", "model.hidden_sizes=8,4", "--set", "train.max_epochs=3",
+            "--set", "train.alpha=1e308"])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: epoch 1 (train.alpha 1e+308, train.lr 0.0003): ")
+        # out_dir is made before training, and is left empty
+        assert list(out.iterdir()) == []
 
     def test_file_as_out_dir_fails_before_training(self, tmp_path, world_dir, monkeypatch):
         blocker = tmp_path / "blocked"
@@ -751,6 +800,19 @@ class TestAnonymizeCommand:
             assert (out / "xvec_out" / f"{utt.utt_id}.xvec").is_file()
         assert result["frames_per_second"] > 0
         assert 0 < result["loop_frames_per_second"] < result["frames_per_second"]
+
+    def test_log_stats_are_the_pseudo_speakers_at_ten_digits(self, tmp_path, world_dir):
+        out = tmp_path / "anon"
+        cmd_anonymize(anon_config(out, world_dir, seed=9, **{"anonymize.method": "shift_scale",
+                                                             "anonymize.n": 3}))
+        pool = anon.load_pool(world_dir / "pool.csv")
+        sources = load_manifest(world_dir / "test" / "manifest.csv").utterances
+        rows = [fields for _, fields in read_csv(out / "anon_log.csv", ANON_LOG_COLUMNS)]
+        assert len(rows) == len(sources)
+        for i, (utt, row) in enumerate(zip(sources, rows)):
+            stats = anon.select_pseudo_speaker(pool, utt.xvec, utt.gender, n=3, k=2,
+                                               seed=[9, i]).stats
+            assert row[3:] == [f"{stats.mean:.10g}", f"{stats.std:.10g}"]
 
     def test_same_seed_reproduces_outputs(self, tmp_path, world_dir, trained_dir):
         a = cmd_anonymize(anon_config(tmp_path / "a", world_dir, trained_dir, seed=9))

@@ -546,6 +546,15 @@ class TestNormStats:
         assert stats.input_std[0] == STD_FLOOR
         assert stats.input_std[3] == STD_FLOOR
 
+    def test_std_just_above_the_floor_is_kept(self):
+        # a feature std of about 1e-7: above STD_FLOOR, so no floor applies
+        bn = np.array([[1.0, 0.0], [3.0, 2e-7]], dtype=np.float32)
+        ds = Dataset([make_utt(f0=np.array([100.0, 0.0], dtype=np.float32), bn=bn)])
+        stats = compute_norm_stats(build_frame_table(ds))
+        want = bn[:, 1].std(dtype=np.float64)
+        assert STD_FLOOR < want < 1e-6
+        assert stats.input_std[3] == want
+
     def test_logf0_stats_voiced_only(self):
         # voiced targets ln(100), ln(400): mean is ln(200), std is ln(2)
         ds = Dataset([make_utt(f0=np.array([100.0, 0.0, 400.0], dtype=np.float32),

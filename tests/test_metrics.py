@@ -184,6 +184,11 @@ class TestPitchCorrelation:
         assert pitch_correlation(np.array([100.0, 0.0]), np.array([90.0, 80.0])) is None
         assert pitch_correlation(np.zeros(4), np.zeros(4)) is None
 
+    def test_exactly_two_common_voiced_frames_give_plus_or_minus_one(self):
+        a = np.array([100.0, 0.0, 150.0, 120.0])
+        assert pitch_correlation(a, np.array([90.0, 80.0, 200.0, 0.0])) == pytest.approx(1.0)
+        assert pitch_correlation(a, np.array([200.0, 80.0, 90.0, 0.0])) == pytest.approx(-1.0)
+
     def test_only_common_voiced_frames_count(self):
         # frames where either side is unvoiced are excluded entirely
         a = np.array([1.0, 2.0, 3.0, 999.0, 0.0])

@@ -488,6 +488,36 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="input_dim"):
             train(table, val_ds, mc, TrainConfig(max_epochs=1))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_epoch_and_settings_without_warning(self):
+        # alpha 1e308 makes the squared gradient overflow in the first step
+        with pytest.raises(ValueError, match=r"^epoch 1 \(train\.alpha 1e\+308, "
+                                             r"train\.lr 0\.0003\): overflow encountered"):
+            self.run(alpha=1e308)
+
+    def test_train_loss_overflow_names_epoch(self, monkeypatch):
+        def huge_loss(f0hat, g, target, voiced, alpha):
+            return 1e308, np.zeros(len(f0hat)), np.zeros(len(f0hat))
+
+        monkeypatch.setattr(training, "composite_loss", huge_loss)
+        with pytest.raises(ValueError,
+                           match=r"^epoch 1 .*: overflow encountered in the train loss sum$"):
+            self.run()
+
+    def test_overflow_names_the_configured_lr_after_a_decay(self, monkeypatch):
+        # a plateau decays the lr 0.01 -> 0.002 after epoch 2; epoch 4 overflows
+        metrics = iter([0.5, 0.5, 0.5])
+
+        def plateau_then_overflow(params, rows, f0):
+            for metric in metrics:
+                return metric
+            raise FloatingPointError("overflow encountered in validation")
+
+        monkeypatch.setattr(training, "validation_metric", plateau_then_overflow)
+        with pytest.raises(ValueError, match=r"^epoch 4 \(train\.alpha [^,]+, train\.lr 0\.01\): "
+                                             r"overflow encountered in validation$"):
+            self.run(max_epochs=5, lr=0.01, patience_lr=1)
+
     def test_validation_width_mismatch_names_both_widths(self):
         table = build_frame_table(tiny_world()[0])
         wide_spec = SynthSpec(n_speakers_per_gender=2, utts_per_speaker=2,
