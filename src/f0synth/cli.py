@@ -267,8 +267,16 @@ def cmd_train(config: RunConfig) -> dict:
         raise ValueError(f"{train_manifest}: the train manifest has no voiced frames")
     model_config = section_config(config, "model", input_dim=table.rows.shape[1])
     validation = [load_validation(val_manifest, table.rows.shape[1])]
+    # A training that raises (an overflow, an interrupt) removes the
+    # directories this call made; an out_dir that existed stays as it was.
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    params, history = train(table, validation.pop(), model_config, train_config)
+    try:
+        params, history = train(table, validation.pop(), model_config, train_config)
+    except BaseException:
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
     checkpoint = out_dir / "checkpoint.f0md"
     save_checkpoint(checkpoint, params, dropout=model_config.dropout)
     history_path = write_csv(out_dir / "history.csv", HISTORY_COLUMNS, history.csv_rows())

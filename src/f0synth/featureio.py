@@ -458,8 +458,9 @@ class NormStats:
     def identity(cls, dim: int) -> "NormStats":
         return cls(np.zeros(dim), np.ones(dim), 0.0, 1.0)
 
-    def normalize_inputs(self, raw: np.ndarray) -> np.ndarray:
-        normed = np.subtract(raw, self.input_mean, dtype=np.float64)
+    def normalize_inputs(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(raw - mean) / std in float64, into ``out`` when given (``raw`` itself may be it)."""
+        normed = np.subtract(raw, self.input_mean, dtype=np.float64, out=out)
         return np.divide(normed, self.input_std, out=normed)
 
     def normalize_logf0(self, logf0):

@@ -240,16 +240,24 @@ class TrainHistory:
 def validation_metric(params: ModelParams, rows: np.ndarray, truth_f0: np.ndarray) -> float:
     """Accurately-processed fraction pooled over all validation frames.
 
-    ``rows`` holds every frame's normalized feature row and ``truth_f0``
-    its truth F0 in Hz, both in utterance order.  Frames run in blocks of
-    ``VALIDATION_BLOCK_ROWS``; a row's last bit can differ from
-    ``predict_f0`` on its utterance alone (see README).  The pitch counts
-    are integer sums, so one count over all frames equals pooling
-    per-utterance counts.
+    ``rows`` holds every frame's raw feature row (float32, as the frame
+    table keeps it) and ``truth_f0`` its truth F0 in Hz, both in utterance
+    order.  Frames run in blocks of ``VALIDATION_BLOCK_ROWS``, each cast
+    to float64 in one reused buffer and normalized with ``params.norm``
+    just before its forward pass; normalization is elementwise, so the
+    bits are those of normalizing the whole table once.  A row's last bit
+    can differ from ``predict_f0`` on its utterance alone (see README).
+    The pitch counts are integer sums, so one count over all frames
+    equals pooling per-utterance counts.
     """
-    pred = np.concatenate([infer_f0(params, rows[start:start + VALIDATION_BLOCK_ROWS])[0]
-                           for start in range(0, len(rows), VALIDATION_BLOCK_ROWS)])
-    return pitch_error_counts(pred, truth_f0).accurately_processed
+    buf = np.empty((min(len(rows), VALIDATION_BLOCK_ROWS), rows.shape[1]))
+    preds = []
+    for start in range(0, len(rows), VALIDATION_BLOCK_ROWS):
+        block = rows[start:start + VALIDATION_BLOCK_ROWS]
+        normed = buf[:len(block)]
+        np.copyto(normed, block)
+        preds.append(infer_f0(params, params.norm.normalize_inputs(normed, out=normed))[0])
+    return pitch_error_counts(np.concatenate(preds), truth_f0).accurately_processed
 
 
 def train(
@@ -265,8 +273,10 @@ def train(
     included), and validated with the accurately-processed metric; the
     plateau scheduler drives lr reductions and early stopping.  The
     returned parameters are the copy that achieved the best validation
-    metric, not the last epoch's.  Training rows are normalized per batch,
-    validation rows once per run, after which ``val_dataset`` is dropped.
+    metric, not the last epoch's.  Both tables stay float32: each training
+    batch is gathered with ``np.take``, cast to float64 and normalized in
+    place, and ``validation_metric`` normalizes each validation block
+    likewise.  ``val_dataset`` is dropped once its frame table is built.
     An epoch whose arithmetic overflows raises ``ValueError`` naming it.
     """
     if train_table.n_rows == 0:
@@ -286,7 +296,7 @@ def train(
         raise ValueError(
             f"validation input width {val_dataset.input_width} != "
             f"model input_dim {model_config.input_dim}")
-    val_rows = params.norm.normalize_inputs(build_frame_table(val_dataset).rows)
+    val_rows = build_frame_table(val_dataset).rows
     val_f0 = np.concatenate([u.f0.astype(np.float64) for u in val_dataset.utterances])
     del val_dataset
 
@@ -307,16 +317,18 @@ def train(
                 loss_sum = 0.0
                 for batch_idx, start in enumerate(range(0, n, train_config.batch_size)):
                     idx = perm[start:start + train_config.batch_size]
+                    batch = np.take(train_table.rows, idx, axis=0).astype(np.float64)
+                    params.norm.normalize_inputs(batch, out=batch)
                     f0hat, g, cache = forward(
-                        params, params.norm.normalize_inputs(train_table.rows[idx]),
-                        train_mode=True, dropout=model_config.dropout,
+                        params, batch, train_mode=True, dropout=model_config.dropout,
                         dropout_seed=[train_config.seed, epoch, batch_idx],
                     )
                     loss, d_f0hat, d_g = composite_loss(
-                        f0hat, g, targets[idx], train_table.voiced[idx], train_config.alpha)
+                        f0hat, g, np.take(targets, idx), np.take(train_table.voiced, idx),
+                        train_config.alpha)
                     grads = backward(params, cache, d_f0hat, d_g)
                     # Frees this pass's activations before the next forward allocates.
-                    del f0hat, g, cache
+                    del batch, f0hat, g, cache
                     params, opt = nadam_step(opt, params, grads, epoch_lr)
                     loss_sum += loss * len(idx)
                 if not np.isfinite(loss_sum):

@@ -472,8 +472,23 @@ class TestTrainCommand:
             "--set", "train.alpha=1e308"])
         assert result.exit_code == 1
         assert result.output.startswith("error: epoch 1 (train.alpha 1e+308, train.lr 0.0003): ")
-        # out_dir is made before training, and is left empty
-        assert list(out.iterdir()) == []
+        # out_dir is made before training, and removed when training fails
+        assert not out.exists()
+
+    def test_overflowing_lr_removes_only_the_directories_it_made(self, tmp_path, world_dir):
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("kept")
+        result = run_cli([
+            "train", "--out-dir", str(kept / "a" / "run"),
+            "--set", f"train.manifest={world_dir / 'train' / 'manifest.csv'}",
+            "--set", f"train.val_manifest={world_dir / 'validation' / 'manifest.csv'}",
+            "--set", "model.hidden_sizes=8,4", "--set", "train.max_epochs=3",
+            "--set", "train.lr=1e308"])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: epoch 1 (train.alpha 28.112, train.lr 1e+308): ")
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+        assert (kept / "notes.txt").read_text() == "kept"
 
     def test_file_as_out_dir_fails_before_training(self, tmp_path, world_dir, monkeypatch):
         blocker = tmp_path / "blocked"

@@ -431,7 +431,7 @@ class TestTrainLoop:
         train_ds, val_ds, _ = tiny_world()
         params, history = self.run(max_epochs=5)
         best = max(r.val_metric for r in history.records)
-        metric = validation_metric(params, *validation_arrays(params, val_ds))
+        metric = validation_metric(params, *validation_arrays(val_ds))
         assert metric == pytest.approx(best, abs=1e-12)
 
     def test_loss_decreases_on_learnable_world(self):
@@ -569,9 +569,9 @@ def reference_train(table, val_ds, model_config, config):
     return best, history
 
 
-def validation_arrays(params, dataset):
-    """The normalized rows and truth F0 that train() builds for validation_metric."""
-    rows = params.norm.normalize_inputs(build_frame_table(dataset).rows)
+def validation_arrays(dataset):
+    """The raw float32 rows and truth F0 that train() builds for validation_metric."""
+    rows = build_frame_table(dataset).rows
     return rows, np.concatenate([u.f0.astype(np.float64) for u in dataset.utterances])
 
 
@@ -600,13 +600,42 @@ class TestValidationMetric:
             pred, _ = predict_f0(params, utt.features())
             preds.append(pred)
             pooled = pooled + pitch_error_counts(pred, utt.f0)
-        val_rows, val_f0 = validation_arrays(params, val_ds)
+        val_rows, val_f0 = validation_arrays(val_ds)
         assert validation_metric(params, val_rows, val_f0) == pooled.accurately_processed
         ends = np.cumsum([u.n_frames for u in val_ds.utterances])
         assert ends[-1] == len(val_rows)
-        for rows, pred in zip(np.split(val_rows, ends[:-1]), preds):
+        normed = params.norm.normalize_inputs(val_rows)
+        for rows, pred in zip(np.split(normed, ends[:-1]), preds):
             assert np.array_equal(infer_f0(params, rows)[0].view(np.uint64),
                                   pred.view(np.uint64))
+
+    @pytest.mark.parametrize("n_rows", [4097, 9000])
+    def test_raw_rows_give_the_bits_of_normalizing_once(self, monkeypatch, n_rows):
+        # 4097 rows end on a one-row block, 9000 on a block of 808.
+        table = build_frame_table(tiny_world()[0])
+        params = init_params(ModelConfig(input_dim=6, hidden_sizes=[16, 8]), 3)
+        params.norm = compute_norm_stats(table)
+        rng = np.random.default_rng(n_rows)
+        rows = table.rows[rng.integers(0, table.n_rows, n_rows)]
+        rows += rng.normal(0, 0.1, rows.shape).astype(np.float32)
+        truth = np.where(rng.random(n_rows) < 0.7, rng.uniform(80, 300, n_rows), 0.0)
+        # The normalize-once formula: the whole table normalized, then
+        # inferred in blocks of VALIDATION_BLOCK_ROWS.
+        normed = params.norm.normalize_inputs(rows)
+        want = np.concatenate([
+            infer_f0(params, normed[start:start + training.VALIDATION_BLOCK_ROWS])[0]
+            for start in range(0, n_rows, training.VALIDATION_BLOCK_ROWS)])
+        seen = []
+
+        def recording_counts(pred, truth_f0):
+            seen.append(pred)
+            return pitch_error_counts(pred, truth_f0)
+
+        monkeypatch.setattr(training, "pitch_error_counts", recording_counts)
+        metric = validation_metric(params, rows, truth)
+        assert rows.dtype == np.float32
+        assert np.array_equal(seen[0].view(np.uint64), want.view(np.uint64))
+        assert metric == pitch_error_counts(want, truth).accurately_processed
 
     def test_no_frames_rejected(self):
         table = build_frame_table(tiny_world()[0])
@@ -641,17 +670,15 @@ class TestValidationMetric:
 
 
 class TestTrainingMemory:
-    def test_peak_below_one_and_a_half_float64_tables(self):
-        # 4 speakers per gender x 10 utterances x 500 frames = 40,000 frames.
-        spec = SynthSpec(n_speakers_per_gender=4, utts_per_speaker=10, frames_per_utt=500,
-                         seed=2)
-        train_ds, _ = generate_synthetic_dataset(spec, role="train")
+    # 4 speakers per gender x 10 utterances x 500 frames = 40,000 frames.
+    SPEC = SynthSpec(n_speakers_per_gender=4, utts_per_speaker=10, frames_per_utt=500, seed=2)
+
+    def traced_peak(self, val_ds):
+        """train()'s tracemalloc peak over one epoch on SPEC's train role, in float64 tables."""
+        train_ds, _ = generate_synthetic_dataset(self.SPEC, role="train")
         table = build_frame_table(train_ds)
         del train_ds
         assert table.n_rows == 40_000
-        val_spec = SynthSpec(n_speakers_per_gender=1, utts_per_speaker=1, frames_per_utt=100)
-        val_ds, _ = generate_synthetic_dataset(val_spec, role="validation")
-        float64_table = table.n_rows * table.rows.shape[1] * 8
         tracemalloc.start()
         try:
             train(table, val_ds, ModelConfig(input_dim=table.rows.shape[1], hidden_sizes=[16, 8]),
@@ -659,7 +686,21 @@ class TestTrainingMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * float64_table, f"peak {peak / float64_table:.2f} float64 tables"
+        return peak / (table.n_rows * table.rows.shape[1] * 8)
+
+    def test_peak_below_one_and_a_half_float64_tables(self):
+        val_spec = SynthSpec(n_speakers_per_gender=1, utts_per_speaker=1, frames_per_utt=100)
+        val_ds, _ = generate_synthetic_dataset(val_spec, role="validation")
+        peak = self.traced_peak(val_ds)
+        assert peak < 1.5, f"peak {peak:.2f} float64 tables"
+
+    def test_validation_as_large_as_train_peaks_below_1_3_float64_tables(self):
+        # Validation keeps its rows in float32 and normalizes one block at a
+        # time, so a 40,000-frame validation role adds no float64 table.
+        val_ds, _ = generate_synthetic_dataset(self.SPEC, role="validation")
+        assert val_ds.total_frames == 40_000
+        peak = self.traced_peak(val_ds)
+        assert peak < 1.3, f"peak {peak:.2f} float64 tables"
 
 
 class TestTrainConfig:
