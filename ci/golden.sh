@@ -13,6 +13,8 @@
 #      eval and shift_scale anonymize the same bytes;
 #   6. eval on a checkpoint whose dropout field is 0.9 exits 1, names the
 #      file and writes nothing.
+#   7. eval on the test manifest with its rows reversed gives the same
+#      metrics.csv bytes.
 # Last it compares the outputs with ci/golden/quickstart.json: the digest of
 # the sha256sum listing of every file under world/ and run/, and the hashes
 # of both checkpoints and histories.  That record names the machine it was
@@ -116,6 +118,16 @@ if [ "$status" != 1 ] || [ -e eval_bad ] \
   echo "eval on bad_dropout.f0md exited $status: it must exit 1, name the file and write nothing"
   exit 1
 fi
+
+# 7. eval pools its records in sorted-id order: the row order is not seen.
+mkdir rev
+{ head -n 1 abs/manifest.csv; tail -n +2 abs/manifest.csv | tac; } > rev/manifest.csv
+if cmp -s abs/manifest.csv rev/manifest.csv; then
+  echo "rev/manifest.csv holds the rows in their first order"; exit 1
+fi
+f0synth eval --out-dir eval_rev --set eval.manifest=rev/manifest.csv \
+  --set eval.checkpoint=run/checkpoint.f0md > /dev/null
+cmp run/eval/metrics.csv eval_rev/metrics.csv
 
 find world run -type f | sort | xargs sha256sum > listing.txt
 sha256sum {run,dropout}/checkpoint.f0md {run,dropout}/history.csv > files.txt

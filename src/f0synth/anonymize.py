@@ -19,6 +19,7 @@ resolve against the CSV's directory.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -26,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .featureio import (Dataset, Gender, at_row, check_id, read_csv, read_feature_file,
-                        write_csv, write_feature_file)
+from .featureio import (Gender, at_row, check_id, group_by_speaker, read_csv,
+                        read_feature_file, write_csv, write_feature_file)
 
 POOL_COLUMNS = ("speaker_id", "gender", "xvec_path", "f0_mean", "f0_std")
 DEFAULT_N_FURTHEST = 200
@@ -176,10 +177,13 @@ def select_pseudo_speaker(
     )
 
 
-def speaker_f0_stats(dataset: Dataset) -> dict[str, F0Stats]:
-    """Voiced-F0 mean and population std per speaker, pooled over utterances."""
+def speaker_f0_stats(utterances: Iterable) -> dict[str, F0Stats]:
+    """Voiced-F0 mean and population std per speaker, pooled over utterances.
+
+    ``utterances`` is a ``Dataset`` or a list of ``UtteranceF0`` records.
+    """
     stats: dict[str, F0Stats] = {}
-    for speaker_id, utts in dataset.by_speaker().items():
+    for speaker_id, utts in group_by_speaker(utterances).items():
         voiced_f0 = np.concatenate([u.f0[u.voiced] for u in utts]).astype(np.float64)
         if len(voiced_f0) < 2:
             raise ValueError(
@@ -190,11 +194,15 @@ def speaker_f0_stats(dataset: Dataset) -> dict[str, F0Stats]:
     return stats
 
 
-def pool_from_dataset(dataset: Dataset) -> SpeakerPool:
-    """Build a pool from a dataset: per-speaker mean embedding + F0 stats."""
-    stats = speaker_f0_stats(dataset)
+def pool_from_dataset(utterances: Iterable) -> SpeakerPool:
+    """Build a pool: per-speaker mean embedding + F0 stats.
+
+    ``utterances`` is a ``Dataset`` or a list of ``UtteranceF0``
+    records; only their voiced frames count, so these may hold only those.
+    """
+    stats = speaker_f0_stats(utterances)
     entries = []
-    for speaker_id, utts in dataset.by_speaker().items():
+    for speaker_id, utts in group_by_speaker(utterances).items():
         xvec = np.mean([u.xvec.astype(np.float64) for u in utts], axis=0)
         entries.append(PoolEntry(
             speaker_id=speaker_id,

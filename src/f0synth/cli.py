@@ -39,12 +39,15 @@ from . import anonymize as anon
 from .featureio import (
     Dataset,
     Gender,
+    UtteranceF0,
     assemble_features,
     at_row,
     build_frame_table,
     is_csv_field,
+    iter_manifest,
     load_manifest,
     read_text,
+    reread_bn,
     remove_dataset,
     write_csv,
     write_dataset,
@@ -57,10 +60,16 @@ from .metrics import (
     pitch_correlation,
     pool_scores,
     report_csv_row,
+    score_utterance,
     score_utterances,
 )
 from .model import ModelConfig, load_checkpoint, predict_f0, save_checkpoint
-from .synthgen import SynthSpec, generate_synthetic_dataset
+from .synthgen import (
+    DATASET_ROLES,
+    SynthSpec,
+    generate_synthetic_dataset,  # noqa: F401  bench/tracer.py wraps this binding
+    iter_synthetic_dataset,
+)
 from .training import HISTORY_COLUMNS, TrainConfig, train
 
 RHO_FLAG_THRESHOLD = 0.3
@@ -201,13 +210,32 @@ def build_config(
 # command bodies (pure-ish: config in, result out, files under out_dir)
 # ---------------------------------------------------------------------------
 
-def load_matching_checkpoint(path: str, dataset: Dataset):
-    """Load a checkpoint's params; its input width must be the data's d_xv + d_bn."""
+def load_matching_checkpoint(path: str, width: int):
+    """Load a checkpoint's params; its input width must be the data's d_xv + d_bn ``width``."""
     params, _ = load_checkpoint(path)
-    if params.input_dim != dataset.input_width:
+    if params.input_dim != width:
         raise ValueError(f"{path}: checkpoint input width {params.input_dim} != "
-                         f"d_xv + d_bn = {dataset.input_width} of the manifest")
+                         f"d_xv + d_bn = {width} of the manifest")
     return params
+
+
+def predict_utterance(params, checkpoint: str, utt_id: str, features):
+    """The checkpoint's F0 for one utterance's features; an error names both."""
+    try:
+        return predict_f0(params, features)[0]
+    except ValueError as exc:
+        raise ValueError(f"{checkpoint}: utterance {utt_id!r}: {exc}") from None
+
+
+def new_directories(*paths: Path) -> set[Path]:
+    """The outermost directory on the way to each of ``paths`` that does not exist yet."""
+    return {new[-1] for path in paths
+            if (new := [d for d in (path, *path.parents) if not d.exists()])}
+
+
+def remove_directories(made: set[Path]) -> None:
+    for directory in made:
+        shutil.rmtree(directory, ignore_errors=True)
 
 
 def load_validation(path: str, width: int) -> Dataset:
@@ -226,31 +254,40 @@ def cmd_synthgen(config: RunConfig) -> dict:
     spec = section_config(config, "synth", seed=config.seed)
     out_dir = config.out_dir
     manifests: dict[str, Path] = {}
-    lines = []
-    # One role is alive at a time: the pool keeps only per-speaker stats.  A
-    # role whose F0 overflows raises before it writes; the roles written before
-    # it and the directories this call made are then removed, so a world that
-    # fails leaves no files behind.
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    # Each walk block's files are written as it is drawn, so one block is
+    # alive at a time; the pool keeps each train utterance's xvec and voiced
+    # F0.  A failure (a block whose F0 overflows, a full disk) removes the
+    # files of its role written so far, the roles before it and the
+    # directories this call made, so a world that fails leaves no files.
+    made = new_directories(out_dir)
+    kept: list[UtteranceF0] = []
     try:
-        for role in ("train", "validation", "test"):
-            dataset, _ = generate_synthetic_dataset(spec, role=role)
+        for role in DATASET_ROLES:
+            utterances = iter_synthetic_dataset(spec, role)
             if role == "train":
-                pool = anon.pool_from_dataset(dataset)
-            manifests[role] = write_dataset(dataset, out_dir / role)
-            lines.append(f"{role}: {manifests[role]} ({len(dataset)} utterances, "
-                         f"{dataset.total_frames} frames)")
-            del dataset
-    except ValueError:
+                utterances = kept_for_pool(utterances, kept)
+            manifests[role] = write_dataset(utterances, out_dir / role)
+        pool = anon.pool_from_dataset(kept)
+    except BaseException:
         for manifest in manifests.values():
             remove_dataset(manifest)
-        if made:
-            shutil.rmtree(made[-1], ignore_errors=True)
+        remove_directories(made)
         raise
-    print("\n".join(lines))
+    n_utts = 2 * spec.n_speakers_per_gender * spec.utts_per_speaker
+    for role, manifest in manifests.items():
+        print(f"{role}: {manifest} ({n_utts} utterances, "
+              f"{n_utts * spec.frames_per_utt} frames)")
     pool_path = anon.write_pool(pool, out_dir)
     print(f"pool: {pool_path} ({2 * spec.n_speakers_per_gender} speakers)")
     return {"manifests": manifests, "pool": pool_path}
+
+
+def kept_for_pool(utterances, kept: list):
+    """Yield ``utterances``, keeping in ``kept`` each one's ids, xvec and voiced F0."""
+    for utt in utterances:
+        kept.append(UtteranceF0(utt.utt_id, utt.speaker_id, utt.gender, utt.xvec,
+                                utt.f0[utt.voiced]))
+        yield utt
 
 
 def cmd_train(config: RunConfig) -> dict:
@@ -269,13 +306,12 @@ def cmd_train(config: RunConfig) -> dict:
     validation = [load_validation(val_manifest, table.rows.shape[1])]
     # A training that raises (an overflow, an interrupt) removes the
     # directories this call made; an out_dir that existed stays as it was.
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    made = new_directories(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         params, history = train(table, validation.pop(), model_config, train_config)
     except BaseException:
-        if made:
-            shutil.rmtree(made[-1], ignore_errors=True)
+        remove_directories(made)
         raise
     checkpoint = out_dir / "checkpoint.f0md"
     save_checkpoint(checkpoint, params, dropout=model_config.dropout)
@@ -294,7 +330,9 @@ def cmd_eval(config: RunConfig) -> dict:
 
     Predictions come from exactly one source: ``eval.checkpoint`` (run
     the model on each utterance's features) or ``eval.pred_manifest``
-    (compare stored trajectories utterance by utterance).
+    (compare stored trajectories utterance by utterance).  With a
+    checkpoint the truth manifest is read in one pass, one utterance at a
+    time; with stored trajectories only the F0 of both manifests is kept.
     """
     truth_manifest = config["eval.manifest"]
     checkpoint = config["eval.checkpoint"] or None  # set empty counts as unset
@@ -306,26 +344,32 @@ def cmd_eval(config: RunConfig) -> dict:
     if not is_csv_field(dataset_name):
         raise ConfigError(f"eval.dataset_name {dataset_name!r} is not one CSV field")
     out_dir = config.out_dir
-    truth_ds = load_manifest(truth_manifest)
-    truth = {u.utt_id: u.f0 for u in truth_ds.utterances}
+    genders: dict[str, Gender] = {}
     if checkpoint is not None:
-        params = load_matching_checkpoint(checkpoint, truth_ds)
-        pred = {u.utt_id: predict_f0(params, u.features())[0]
-                for u in truth_ds.utterances}
+        params, scores = None, {}
+        for utt in iter_manifest(truth_manifest):
+            if params is None:  # every utterance has the first one's width
+                params = load_matching_checkpoint(checkpoint, utt.input_width)
+            pred = predict_utterance(params, checkpoint, utt.utt_id, utt.features())
+            scores[utt.utt_id] = score_utterance(pred, utt.f0)
+            genders[utt.utt_id] = utt.gender
     else:
-        pred = {u.utt_id: u.f0 for u in load_manifest(pred_manifest).utterances}
+        truth = {}
+        for utt in iter_manifest(truth_manifest):
+            truth[utt.utt_id], genders[utt.utt_id] = utt.f0, utt.gender
+        pred = {u.utt_id: u.f0 for u in iter_manifest(pred_manifest)}
+        with at_row(pred_manifest):
+            scores = score_utterances(pred, truth)  # once each; "all" pools them again
 
-    groups: list[tuple[str, set[str]]] = []
+    groups: list[tuple[str, list[str]]] = []
     for gender in (Gender.F, Gender.M):
-        ids = {u.utt_id for u in truth_ds.utterances if u.gender is gender}
+        ids = [utt_id for utt_id, g in genders.items() if g is gender]
         if ids:
             groups.append((gender.value, ids))
-    groups.append(("all", set(truth)))
+    groups.append(("all", list(genders)))
 
     reports: dict[str, MetricsReport] = {}
     rows = []
-    with at_row(pred_manifest or checkpoint):
-        scores = score_utterances(pred, truth)  # once each; "all" pools them again
     for sex, ids in groups:
         report = pool_scores({k: scores[k] for k in ids})
         reports[sex] = report
@@ -344,6 +388,11 @@ def cmd_anonymize(config: RunConfig) -> dict:
     the pseudo speaker's F0 statistics.  Per utterance the log records
     the chosen pool members and target stats; the original-vs-output
     pitch correlation is checked against the 0.3 floor.
+
+    A first pass reads and checks every utterance, keeping its ids, xvec
+    and F0; every selection and check then runs before out_dir is made.
+    A second pass writes the outputs; the synthesis method reads the
+    manifest and each bn file again there.
     """
     manifest = config["anonymize.manifest"]
     pool_path = config["anonymize.pool"]
@@ -358,22 +407,28 @@ def cmd_anonymize(config: RunConfig) -> dict:
     seed = config.seed
     out_dir = config.out_dir
 
-    sources = load_manifest(manifest)
+    sources = []
+    for utt in iter_manifest(manifest):
+        sources.append(utt.without_bn())
+        width, bn_width = utt.input_width, utt.bn.shape[1]  # one of each, by the rules
     pool = anon.load_pool(pool_path)
     # Every selection runs before out_dir is made: its checks leave no output behind.
     pseudos = []
-    for i, utt in enumerate(sources.utterances):
+    for i, utt in enumerate(sources):
         try:
             pseudo = anon.select_pseudo_speaker(pool, utt.xvec, utt.gender, n=n, k=k,
                                                 gender_mode=gender_mode, seed=[seed, i])
         except ValueError as exc:
             raise ValueError(f"utterance {utt.utt_id!r}: {exc}") from None
         pseudos.append(pseudo)
-    params = load_matching_checkpoint(checkpoint, sources) if checkpoint is not None else None
+    params = load_matching_checkpoint(checkpoint, width) if checkpoint is not None else None
     src_stats = anon.speaker_f0_stats(sources) if method == "shift_scale" else None
 
     f0_dir = out_dir / "f0_out"
     xvec_dir = out_dir / "xvec_out"
+    # A write loop that raises (an F0 that overflows, a bn file that
+    # changed) removes the directories this call made.
+    made = new_directories(f0_dir, xvec_dir)
     f0_dir.mkdir(parents=True, exist_ok=True)
     xvec_dir.mkdir(parents=True, exist_ok=True)
 
@@ -383,32 +438,37 @@ def cmd_anonymize(config: RunConfig) -> dict:
     synth_seconds = 0.0
     synth_frames = 0
     loop_start = time.perf_counter()
-    for utt, pseudo in zip(sources.utterances, pseudos):
-        synth_xvec, export_xvec = anon.assemble_synthesis_inputs(mode, utt.xvec, pseudo)
-        if method == "synthesis":
-            features = assemble_features(synth_xvec, utt.bn)
-            t0 = time.perf_counter()
-            f0_out, _ = predict_f0(params, features)
-            synth_seconds += time.perf_counter() - t0
-            synth_frames += utt.n_frames
-        else:
-            f0_out = anon.shift_scale_f0(utt.f0, src_stats[utt.speaker_id], pseudo.stats)
-        write_feature_file(f"{f0_dir}/{utt.utt_id}.f0", f0_out)
-        write_feature_file(f"{xvec_dir}/{utt.utt_id}.xvec", export_xvec)
-        rho = pitch_correlation(utt.f0, f0_out)
-        rhos[utt.utt_id] = rho
-        if rho is None or rho < RHO_FLAG_THRESHOLD:
-            flagged.append(utt.utt_id)
-            shown = "absent" if rho is None else f"{rho:.3f}"
-            print(f"FLAGGED {utt.utt_id}: rho_f0 {shown} "
-                  f"(threshold {RHO_FLAG_THRESHOLD})")
-        log_rows.append([utt.utt_id, mode.value, ";".join(pseudo.chosen_ids),
-                         f"{pseudo.stats.mean:.10g}", f"{pseudo.stats.std:.10g}"])
+    try:
+        bns = reread_bn(manifest, sources, bn_width) if method == "synthesis" else None
+        for utt, pseudo in zip(sources, pseudos):
+            synth_xvec, export_xvec = anon.assemble_synthesis_inputs(mode, utt.xvec, pseudo)
+            if method == "synthesis":
+                features = assemble_features(synth_xvec, next(bns))
+                t0 = time.perf_counter()
+                f0_out = predict_utterance(params, checkpoint, utt.utt_id, features)
+                synth_seconds += time.perf_counter() - t0
+                synth_frames += utt.n_frames
+            else:
+                f0_out = anon.shift_scale_f0(utt.f0, src_stats[utt.speaker_id], pseudo.stats)
+            write_feature_file(f"{f0_dir}/{utt.utt_id}.f0", f0_out)
+            write_feature_file(f"{xvec_dir}/{utt.utt_id}.xvec", export_xvec)
+            rho = pitch_correlation(utt.f0, f0_out)
+            rhos[utt.utt_id] = rho
+            if rho is None or rho < RHO_FLAG_THRESHOLD:
+                flagged.append(utt.utt_id)
+                shown = "absent" if rho is None else f"{rho:.3f}"
+                print(f"FLAGGED {utt.utt_id}: rho_f0 {shown} "
+                      f"(threshold {RHO_FLAG_THRESHOLD})")
+            log_rows.append([utt.utt_id, mode.value, ";".join(pseudo.chosen_ids),
+                             f"{pseudo.stats.mean:.10g}", f"{pseudo.stats.std:.10g}"])
+        loop_seconds = time.perf_counter() - loop_start
+        log_path = write_csv(out_dir / "anon_log.csv", ANON_LOG_COLUMNS, log_rows)
+    except BaseException:
+        remove_directories(made)
+        raise
 
-    loop_seconds = time.perf_counter() - loop_start
-    log_path = write_csv(out_dir / "anon_log.csv", ANON_LOG_COLUMNS, log_rows)
     frames_per_second = synth_frames / synth_seconds if synth_seconds > 0 else None
-    loop_frames_per_second = sources.total_frames / loop_seconds
+    loop_frames_per_second = sum(u.n_frames for u in sources) / loop_seconds
     print(f"anonymized {len(sources)} utterances "
           f"({method}, mode {mode.value}) -> {f0_dir}")
     print(f"log: {log_path}")

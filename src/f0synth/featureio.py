@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
@@ -140,9 +141,38 @@ class Utterance:
     def voiced(self) -> np.ndarray:
         return self.f0 > 0
 
+    @property
+    def input_width(self) -> int:
+        """The model input width d_xv + d_bn."""
+        return len(self.xvec) + self.bn.shape[1]
+
     def features(self) -> np.ndarray:
         """Per-frame model input rows ``[xvec, bn-row]``, float64, N x (d_xv + d_bn)."""
         return assemble_features(self.xvec, self.bn)
+
+    def without_bn(self) -> "UtteranceF0":
+        """This utterance's ids, gender, xvec and F0, sharing its arrays."""
+        return UtteranceF0(self.utt_id, self.speaker_id, self.gender, self.xvec, self.f0)
+
+
+@dataclass(frozen=True)
+class UtteranceF0:
+    """An utterance less its bn: ids, gender, embedding and F0, about 4
+    bytes a frame.  Speaker statistics and pools read only these fields."""
+
+    utt_id: str
+    speaker_id: str
+    gender: Gender
+    xvec: np.ndarray
+    f0: np.ndarray
+
+    @property
+    def n_frames(self) -> int:
+        return len(self.f0)
+
+    @property
+    def voiced(self) -> np.ndarray:
+        return self.f0 > 0
 
 
 def assemble_features(xvec: np.ndarray, bn: np.ndarray) -> np.ndarray:
@@ -157,6 +187,26 @@ def assemble_features(xvec: np.ndarray, bn: np.ndarray) -> np.ndarray:
     return np.hstack([tiled, bn])
 
 
+class DatasetRules:
+    """A dataset's rules, checked one utterance at a time: unique ids, one bn
+    width and one xvec width.  Only the ids and the first widths are kept."""
+
+    def __init__(self) -> None:
+        self.ids: set[str] = set()
+        self.widths: tuple[int, int] | None = None
+
+    def check(self, utt: Utterance) -> None:
+        if utt.utt_id in self.ids:
+            raise ValueError(f"duplicate utt_id {utt.utt_id!r} in dataset")
+        widths = (utt.bn.shape[1], len(utt.xvec))
+        for name, got, want in zip(("bn", "xvec"), widths, self.widths or widths):
+            if got != want:
+                raise ValueError(f"utterance {utt.utt_id!r}: {name} dimension "
+                                 f"{got} != {want} of the first utterance")
+        self.ids.add(utt.utt_id)
+        self.widths = widths
+
+
 @dataclass
 class Dataset:
     """An ordered collection of utterances with unique ids, one bn width and
@@ -165,31 +215,22 @@ class Dataset:
     utterances: list[Utterance]
 
     def __post_init__(self) -> None:
-        utterances, self.utterances, self._ids = self.utterances, [], set()
+        utterances, self.utterances, self._rules = self.utterances, [], DatasetRules()
         for utt in utterances:
             self.append(utt)
 
     def append(self, utt: Utterance) -> None:
-        if utt.utt_id in self._ids:
-            raise ValueError(f"duplicate utt_id {utt.utt_id!r} in dataset")
-        if self.utterances:
-            first = self.utterances[0]
-            for name, got, want in (("bn", utt.bn.shape[1], first.bn.shape[1]),
-                                    ("xvec", len(utt.xvec), len(first.xvec))):
-                if got != want:
-                    raise ValueError(f"utterance {utt.utt_id!r}: {name} dimension "
-                                     f"{got} != {want} of the first utterance")
-        self._ids.add(utt.utt_id)
+        self._rules.check(utt)
         self.utterances.append(utt)
 
     def __len__(self) -> int:
         return len(self.utterances)
 
+    def __iter__(self) -> Iterator[Utterance]:
+        return iter(self.utterances)
+
     def by_speaker(self) -> dict[str, list[Utterance]]:
-        groups: dict[str, list[Utterance]] = {}
-        for utt in self.utterances:
-            groups.setdefault(utt.speaker_id, []).append(utt)
-        return groups
+        return group_by_speaker(self.utterances)
 
     @property
     def total_frames(self) -> int:
@@ -198,8 +239,15 @@ class Dataset:
     @property
     def input_width(self) -> int:
         """The model input width d_xv + d_bn that every utterance shares."""
-        first = self.utterances[0]
-        return len(first.xvec) + first.bn.shape[1]
+        return self.utterances[0].input_width
+
+
+def group_by_speaker(utterances: Iterable) -> dict[str, list]:
+    """Utterances (or records with a ``speaker_id``) per speaker, in first-seen order."""
+    groups: dict[str, list] = {}
+    for utt in utterances:
+        groups.setdefault(utt.speaker_id, []).append(utt)
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -344,52 +392,95 @@ def write_csv(path: str | Path, columns: tuple[str, ...], rows) -> Path:
     return path
 
 
-def load_manifest(path: str | Path) -> Dataset:
-    """Load every utterance referenced by a manifest, in manifest order.
+def manifest_rows(path: str | Path):
+    """Yield ``(path:lineno, fields)`` per manifest row, feature paths resolved."""
+    return read_csv(Path(path), MANIFEST_COLUMNS, MANIFEST_COLUMNS[3:])
 
-    Relative feature paths resolve against the manifest's directory.  Each
-    row is added to the ``Dataset`` as it is read, so an error in a row,
-    the ``Dataset`` rules included, names it as ``path:lineno``.  There
-    must be at least one row.
+
+def iter_manifest(path: str | Path) -> Iterator[Utterance]:
+    """Yield each utterance of a manifest, checked, in manifest order.
+
+    Relative feature paths resolve against the manifest's directory.  An
+    error in a row, the ``Dataset`` rules included, names it as
+    ``path:lineno`` when that row is reached.  A manifest without rows
+    raises on the first ``next``.
     """
-    dataset = Dataset([])
-    rows = read_csv(Path(path), MANIFEST_COLUMNS, ("f0_path", "bn_path", "xvec_path"))
-    for where, (utt_id, speaker_id, gender_tok, *paths) in rows:
+    rules = DatasetRules()
+    for where, (utt_id, speaker_id, gender_tok, *paths) in manifest_rows(path):
         with at_row(where):
-            dataset.append(Utterance(utt_id, speaker_id, Gender.parse(gender_tok),
-                                     *(read_feature_file(p) for p in paths)))
-    if not dataset.utterances:
+            utt = Utterance(utt_id, speaker_id, Gender.parse(gender_tok),
+                            *(read_feature_file(p) for p in paths))
+            rules.check(utt)
+        yield utt
+    if not rules.ids:
         raise FormatError(f"{path}: empty dataset, the manifest has no rows")
-    return dataset
 
 
-def write_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
-    """Write every utterance's feature files plus a manifest under ``out_dir``.
+def reread_bn(path: str | Path, utterances: list[UtteranceF0], d_bn: int) -> Iterator[np.ndarray]:
+    """Yield each utterance's bn, read again from the manifest at ``path``.
 
-    Returns the manifest path.  Feature files land in ``out_dir/features/``
-    and the manifest references them relatively, so the tree is relocatable.
+    ``utterances`` are the manifest's rows as ``iter_manifest`` gave them.
+    A row whose id, or bn shape (frames, ``d_bn``), is not the one read
+    before raises, naming the row.
+    """
+    rows = manifest_rows(path)
+    for utt in utterances:
+        where, fields = next(rows, (path, None))
+        with at_row(where):
+            bn = read_feature_file(fields[4]) if fields and fields[0] == utt.utt_id else None
+            if bn is None or bn.shape != (utt.n_frames, d_bn):
+                raise ValueError(f"utterance {utt.utt_id!r} changed since it was first read")
+        yield bn
+
+
+def load_manifest(path: str | Path) -> Dataset:
+    """Load every utterance of a manifest into a ``Dataset`` (see ``iter_manifest``)."""
+    return Dataset(list(iter_manifest(path)))
+
+
+def write_dataset(utterances: Iterable[Utterance], out_dir: str | Path) -> Path:
+    """Write each utterance's feature files as it comes, then a manifest, under ``out_dir``.
+
+    ``utterances`` is a ``Dataset`` or any iterable of utterances, checked
+    against the ``Dataset`` rules as they come.  Returns the manifest path.
+    Feature files land in ``out_dir/features/`` and the manifest references
+    them relatively, so the tree is relocatable.  If the iterable or a write
+    raises, the files written here are removed, then ``features/`` and
+    ``out_dir`` if left empty.
     """
     out_dir = Path(out_dir)
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
+    rules = DatasetRules()
     rows = []
-    for utt in dataset.utterances:
-        rel = [f"features/{utt.utt_id}.{kind}" for kind in ("f0", "bn", "xvec")]
-        for name, values in zip(rel, (utt.f0, utt.bn, utt.xvec)):
-            write_feature_file(f"{out_dir}/{name}", values)
-        rows.append([utt.utt_id, utt.speaker_id, utt.gender.value, *rel])
-    return write_csv(out_dir / "manifest.csv", MANIFEST_COLUMNS, rows)
+    try:
+        for utt in utterances:
+            rules.check(utt)
+            rel = [f"features/{utt.utt_id}.{kind}" for kind in ("f0", "bn", "xvec")]
+            # The row goes first, so that a file a failed write began is removed too.
+            rows.append([utt.utt_id, utt.speaker_id, utt.gender.value, *rel])
+            for name, values in zip(rel, (utt.f0, utt.bn, utt.xvec)):
+                write_feature_file(f"{out_dir}/{name}", values)
+        return write_csv(out_dir / "manifest.csv", MANIFEST_COLUMNS, rows)
+    except BaseException:
+        remove_files(out_dir, [f"{out_dir}/{name}" for row in rows for name in row[3:]])
+        raise
 
 
 def remove_dataset(manifest: Path) -> None:
     """Undo ``write_dataset``: remove the manifest and the feature files it
     names, then ``features/`` and the manifest's directory if left empty."""
-    for _, fields in read_csv(manifest, MANIFEST_COLUMNS, MANIFEST_COLUMNS[3:]):
-        for path in fields[3:]:
+    remove_files(manifest.parent, [path for _, fields in manifest_rows(manifest)
+                                   for path in fields[3:]] + [manifest])
+
+
+def remove_files(directory: Path, paths: list) -> None:
+    """Remove ``paths`` that exist, then ``directory/features`` and ``directory`` if empty."""
+    for path in paths:
+        with suppress(FileNotFoundError):
             os.remove(path)
-    manifest.unlink()
-    for directory in (manifest.parent / "features", manifest.parent):
+    for path in (directory / "features", directory):
         with suppress(OSError):
-            directory.rmdir()
+            path.rmdir()
 
 # ---------------------------------------------------------------------------
 # frame tables and normalization statistics

@@ -196,11 +196,15 @@ def score_utterances(pred: dict, truth: dict) -> dict[str, tuple[FrameCounts, fl
     scores = {}
     for utt_id, t in truth.items():
         try:
-            scores[utt_id] = (pitch_error_counts(pred[utt_id], t),
-                              pitch_correlation(pred[utt_id], t))
+            scores[utt_id] = score_utterance(pred[utt_id], t)
         except ValueError as exc:
             raise ValueError(f"utterance {utt_id!r}: {exc}") from None
     return scores
+
+
+def score_utterance(pred, truth) -> tuple[FrameCounts, float | None]:
+    """One utterance's ``(pitch_error_counts, pitch_correlation)`` record."""
+    return pitch_error_counts(pred, truth), pitch_correlation(pred, truth)
 
 
 def pool_scores(scores: dict[str, tuple[FrameCounts, float | None]]) -> MetricsReport:

@@ -244,9 +244,15 @@ def infer_f0(params: ModelParams, normed: np.ndarray) -> tuple[np.ndarray, np.nd
 def predict_f0(params: ModelParams, features_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masked inference on raw (unnormalized) feature rows.
 
-    Returns (f0_hz, p_voiced); see ``infer_f0`` for the voicing mask.
+    Returns (f0_hz, p_voiced); see ``infer_f0`` for the voicing mask.  A
+    voiced frame whose F0 overflows float64 raises ``ValueError``, with no
+    numpy warning; an unvoiced frame's overflow is masked to 0 Hz.
     """
-    f0, g = infer_f0(params, params.norm.normalize_inputs(features_raw))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0, g = infer_f0(params, params.norm.normalize_inputs(features_raw))
+    if not np.isfinite(f0).all():
+        raise ValueError(f"predicted F0 overflows float64 (log-F0 mean "
+                         f"{params.norm.logf0_mean:g}, std {params.norm.logf0_std:g})")
     return f0, sigmoid(g)
 
 

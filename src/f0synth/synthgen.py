@@ -16,9 +16,10 @@ role's utterances at once.  A block holds up to ``WALK_BLOCK_VALUES``
 walk values, never fewer than one speaker's utterances, and may span
 speakers and genders.  A block's draws are split into one contiguous part
 of utterances per CPU the process may run on; the calling thread draws
-one part and a thread pool, alive only during the call, the rest.  Each
-utterance's stream fills its own slot, so the bits do not depend on the
-CPU count.  Ground truth:
+one part and a thread pool, alive only while a role is generated, the
+rest.  Each utterance's stream fills its own slot, so the bits do not
+depend on the CPU count.  ``iter_synthetic_dataset`` yields a role one
+block at a time.  Ground truth:
 
     ln F0[t] = ln(base_f0_<gender>) + weights . bn[t, :k]
     voiced[t] = bn[t, 1] > voicing_threshold
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -207,10 +209,19 @@ def generate_synthetic_dataset(
     yields bit-identical datasets, on any number of CPUs.  A role whose F0
     overflows float32 raises ``ValueError`` naming the settings that scale it.
     """
+    dataset = Dataset(list(iter_synthetic_dataset(spec, role)))
+    return dataset, _checked(spec, role, _make_mapping, spec)
+
+
+def iter_synthetic_dataset(spec: SynthSpec, role: str = "train") -> Iterator[Utterance]:
+    """Yield the utterances of ``generate_synthetic_dataset(spec, role)``, one
+    walk block drawn at a time, so that at most one block is alive.
+
+    A block whose F0 overflows raises when it is drawn, after the blocks
+    before it have been yielded.
+    """
     if role not in DATASET_ROLES:
         raise ValueError(f"role must be one of {DATASET_ROLES}, got {role!r}")
-    role_stream = _STREAM_UTT_BASE + DATASET_ROLES.index(role)
-    noise_log_std = spec.noise_std_cents * LOG_PER_CENT
     speakers = [(gender_idx, gender, spk_idx, _speaker_xvec(spec, gender_idx, spk_idx))
                 for gender_idx, gender in enumerate((Gender.F, Gender.M))
                 for spk_idx in range(spec.n_speakers_per_gender)]
@@ -218,43 +229,57 @@ def generate_synthetic_dataset(
             for utt_idx in range(spec.utts_per_speaker)]
     block = max(spec.utts_per_speaker,
                 WALK_BLOCK_VALUES // (spec.frames_per_utt * spec.d_bn))
-    utterances = []
+    mapping = _checked(spec, role, _make_mapping, spec)
     # Imported here: commands that never generate (train, eval, anonymize)
     # then load neither the pool nor the logging module it imports.
     from concurrent.futures import ThreadPoolExecutor
 
     cpus = _usable_cpus()
-    # Threads start on the first submit, so one CPU starts none.  Only the
-    # F0 law can overflow (the weights, exp, the float32 cast): it raises.
+    # Threads start on the first submit, so one CPU starts none.  The pool
+    # outlives each yield; numpy's error state is set only inside a draw.
+    with ThreadPoolExecutor(max_workers=max(1, cpus - 1)) as pool:
+        for start in range(0, len(keys), block):
+            yield from _checked(spec, role, _draw_block, spec, role, mapping,
+                                keys[start:start + block], pool, cpus)
+
+
+def _checked(spec: SynthSpec, role: str, draw, *args):
+    """``draw(*args)`` with overflow raising: only the F0 law can overflow (the
+    weights, exp, the float32 cast), and it raises ``ValueError`` naming the
+    settings that scale it."""
     try:
-        with (ThreadPoolExecutor(max_workers=max(1, cpus - 1)) as pool,
-              np.errstate(over="raise")):
-            mapping = _make_mapping(spec)
-            for start in range(0, len(keys), block):
-                chunk = keys[start:start + block]
-                rngs = [np.random.default_rng([spec.seed, role_stream, g_idx, spk_idx, utt_idx])
-                        for (g_idx, _, spk_idx, _), utt_idx in chunk]
-                walks = _block_walks(rngs, spec.frames_per_utt, spec.d_bn, pool, cpus)
-                for ((_, gender, spk_idx, xvec), utt_idx), rng, bn in zip(chunk, rngs, walks):
-                    speaker_id = f"{gender.value}{spk_idx:03d}"
-                    bn32 = bn.astype(np.float32)
-                    logf0 = mapping.logf0(gender, bn32)
-                    if noise_log_std > 0:
-                        logf0 += rng.normal(0.0, noise_log_std, size=len(logf0))
-                    f0 = np.where(mapping.voiced_mask(bn32), np.exp(logf0),
-                                  0.0).astype(np.float32)
-                    utterances.append(Utterance(
-                        utt_id=f"{speaker_id}_{role}{utt_idx:03d}",
-                        speaker_id=speaker_id,
-                        gender=gender,
-                        f0=f0,
-                        bn=bn32,
-                        xvec=xvec,
-                    ))
+        with np.errstate(over="raise"):
+            return draw(*args)
     except FloatingPointError:
         raise ValueError(
             f"the {role} role's F0 overflows float32: lower synth.base_f0_female "
             f"({spec.base_f0_female:g}), synth.base_f0_male ({spec.base_f0_male:g}), "
             f"synth.weight_scale ({spec.weight_scale:g}) or synth.noise_std_cents "
             f"({spec.noise_std_cents:g})") from None
-    return Dataset(utterances), mapping
+
+
+def _draw_block(spec: SynthSpec, role: str, mapping: GroundTruthMapping, chunk: list,
+                pool: Executor, cpus: int) -> list[Utterance]:
+    """The utterances of one walk block: ``chunk`` holds (speaker, utt_idx) keys."""
+    role_stream = _STREAM_UTT_BASE + DATASET_ROLES.index(role)
+    noise_log_std = spec.noise_std_cents * LOG_PER_CENT
+    rngs = [np.random.default_rng([spec.seed, role_stream, g_idx, spk_idx, utt_idx])
+            for (g_idx, _, spk_idx, _), utt_idx in chunk]
+    walks = _block_walks(rngs, spec.frames_per_utt, spec.d_bn, pool, cpus)
+    utterances = []
+    for ((_, gender, spk_idx, xvec), utt_idx), rng, bn in zip(chunk, rngs, walks):
+        speaker_id = f"{gender.value}{spk_idx:03d}"
+        bn32 = bn.astype(np.float32)
+        logf0 = mapping.logf0(gender, bn32)
+        if noise_log_std > 0:
+            logf0 += rng.normal(0.0, noise_log_std, size=len(logf0))
+        f0 = np.where(mapping.voiced_mask(bn32), np.exp(logf0), 0.0).astype(np.float32)
+        utterances.append(Utterance(
+            utt_id=f"{speaker_id}_{role}{utt_idx:03d}",
+            speaker_id=speaker_id,
+            gender=gender,
+            f0=f0,
+            bn=bn32,
+            xvec=xvec,
+        ))
+    return utterances

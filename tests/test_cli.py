@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import typing
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -41,9 +42,10 @@ from f0synth.featureio import (
     write_feature_file,
 )
 from f0synth import anonymize as anon
-from f0synth import cli, metrics
+from f0synth import cli, metrics, synthgen
 from f0synth.metrics import REPORT_COLUMNS, evaluate_utterances, report_csv_row
-from f0synth.model import ModelConfig, ModelParams, load_checkpoint, predict_f0, save_checkpoint
+from f0synth.model import (ModelConfig, ModelParams, init_params, load_checkpoint, predict_f0,
+                           save_checkpoint)
 from f0synth.synthgen import DATASET_ROLES, SynthSpec
 from f0synth.training import HISTORY_COLUMNS, TrainConfig
 
@@ -109,10 +111,12 @@ def trained_dir(tmp_path_factory, world_dir):
 
 
 def checkpoint_with(trained_dir: Path, path: Path, field: str, value: float) -> Path:
-    """Write at ``path`` the trained checkpoint with its dropout or first input mean replaced."""
+    """Write at ``path`` the trained checkpoint with its dropout, first input mean or
+    log-F0 mean replaced."""
     data = bytearray((trained_dir / "checkpoint.f0md").read_bytes())
-    (n_layers,) = struct.unpack_from("<I", data, 8)
-    offset = 16 + 4 * n_layers + {"dropout": 0, "input_mean": 8}[field]
+    n_layers, input_dim = struct.unpack_from("<II", data, 8)
+    offset = 16 + 4 * n_layers + {"dropout": 0, "input_mean": 8,
+                                  "logf0_mean": 8 + 16 * input_dim}[field]
     struct.pack_into("<d", data, offset, value)
     path.write_bytes(bytes(data))
     return path
@@ -414,6 +418,40 @@ class TestSynthgenCommand:
         else:
             assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_write_failing_in_a_later_train_block_removes_what_it_wrote(
+            self, tmp_path, monkeypatch, existing):
+        # One speaker's 3 utterances a block: the train role is 6 blocks, and
+        # the 37th file written is the 5th block's first.
+        monkeypatch.setattr(synthgen, "WALK_BLOCK_VALUES", 1)
+        drawn = []
+        block_walks = synthgen._block_walks
+        monkeypatch.setattr(synthgen, "_block_walks",
+                            lambda rngs, *args: drawn.append(len(rngs)) or block_walks(rngs, *args))
+        written = []
+
+        def failing_write(path, values):
+            if len(written) == 36:
+                raise OSError(28, "No space left on device", path)
+            write_feature_file(path, values)
+            written.append(path)
+
+        monkeypatch.setattr("f0synth.featureio.write_feature_file", failing_write)
+        out = tmp_path / "new" / "w"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept\n")
+        result = run_cli(["synthgen", "--out-dir", str(out),
+                          *(arg for key, value in WORLD_KEYS.items()
+                            for arg in ("--set", f"{key}={value}"))])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: [Errno 28] No space left on device")
+        assert drawn == [3] * 5, "each block's files are written before the next is drawn"
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
     def test_cli_exit_zero_on_success(self, tmp_path):
         result = run_cli([
             "synthgen", "--out-dir", str(tmp_path / "w"), "--seed", "1",
@@ -671,6 +709,30 @@ class TestEvalCommand:
         assert sorted(calls) == (["pitch_correlation"] * len(sources)
                                  + ["pitch_error_counts"] * len(sources))
         assert (tmp_path / "ck" / "metrics.csv").read_text().splitlines()[1:] == expected
+
+    def test_reversed_rows_give_the_same_metrics_bytes(self, tmp_path, world_dir, trained_dir):
+        manifest = world_dir / "test" / "manifest.csv"
+        rows = absolute_rows(manifest)
+        reversed_rows = write_manifest(tmp_path / "rev" / "manifest.csv", rows[:1] + rows[:0:-1])
+        for out, truth in (("ordered", manifest), ("reversed", reversed_rows)):
+            cmd_eval(config_for(tmp_path / out, **{"eval.manifest": truth,
+                                                   "eval.checkpoint": trained_dir / "checkpoint.f0md"}))
+        assert ((tmp_path / "reversed" / "metrics.csv").read_bytes()
+                == (tmp_path / "ordered" / "metrics.csv").read_bytes())
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_f0_names_checkpoint_and_utterance(self, tmp_path, world_dir,
+                                                           trained_dir):
+        ckpt = checkpoint_with(trained_dir, tmp_path / "big.f0md", "logf0_mean", 1000.0)
+        manifest = world_dir / "test" / "manifest.csv"
+        first = load_manifest(manifest).utterances[0].utt_id
+        out = tmp_path / "out"
+        result = run_cli(["eval", "--out-dir", str(out), "--set", f"eval.manifest={manifest}",
+                          "--set", f"eval.checkpoint={ckpt}"])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: {ckpt}: utterance '{first}': predicted F0 "
+                                        f"overflows float64 (log-F0 mean 1000, std ")
+        assert not out.exists()
 
     def test_checkpoint_width_mismatch_rejected(self, tmp_path, world_dir):
         ckpt = tmp_path / "narrow.f0md"
@@ -947,6 +1009,30 @@ class TestAnonymizeCommand:
         assert sorted(result["flagged"]) == sorted(u.utt_id for u in sources.utterances)
         assert all(rho is None for rho in result["rhos"].values())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_overflowing_f0_names_checkpoint_and_utterance_and_removes_outputs(
+            self, tmp_path, world_dir, trained_dir, existing):
+        ckpt = checkpoint_with(trained_dir, tmp_path / "big.f0md", "logf0_mean", 1000.0)
+        manifest = world_dir / "test" / "manifest.csv"
+        first = load_manifest(manifest).utterances[0].utt_id
+        out = tmp_path / "new" / "anon"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept\n")
+        result = run_cli(["anonymize", "--out-dir", str(out),
+                          "--set", f"anonymize.manifest={manifest}",
+                          "--set", f"anonymize.pool={world_dir / 'pool.csv'}",
+                          "--set", f"anonymize.checkpoint={ckpt}",
+                          "--set", "anonymize.n=2", "--set", "anonymize.k=1"])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: {ckpt}: utterance '{first}': predicted F0 "
+                                        f"overflows float64 (log-F0 mean 1000, std ")
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        else:
+            assert not (tmp_path / "new").exists()
+
     def test_pool_too_small_fails(self, tmp_path, world_dir, trained_dir):
         with pytest.raises(ValueError, match="need n"):
             cmd_anonymize(anon_config(tmp_path, world_dir, trained_dir,
@@ -1137,6 +1223,70 @@ def zero_xvec_fails_before_writing(tmp_path, world_dir, row):
                                      "anonymize.method": "shift_scale",
                                      "anonymize.k": 1}))
     assert not out.exists()
+
+
+# A role of 2 utterances per speaker of 1,024 frames: one walk block holds
+# 4 utterances, so the small world's role (1 speaker per gender) is one full
+# block and the large one's (10 per gender) ten.  anonymize keeps each
+# utterance's F0 by design, 4 bytes a frame; the 64-wide bn is 256.
+MEMORY_WORLD = {"seed": 3, "synth.utts_per_speaker": 2, "synth.frames_per_utt": 1024,
+                "synth.d_bn": 64, "synth.d_xv": 8}
+MEMORY_SPEAKERS = {"small": 1, "large": 10}
+
+
+def traced_peak(body, config) -> int:
+    """The tracemalloc peak, in bytes, of one command call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()):
+            body(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def memory_worlds(tmp_path_factory):
+    """Per size: the world directory, with a checkpoint of its width, and synthgen's peak."""
+    worlds = {}
+    for size, speakers in MEMORY_SPEAKERS.items():
+        out = tmp_path_factory.mktemp(size)
+        peak = traced_peak(cmd_synthgen, config_for(
+            out, **MEMORY_WORLD, **{"synth.n_speakers_per_gender": speakers}))
+        save_checkpoint(out / "checkpoint.f0md",
+                        init_params(ModelConfig(input_dim=72, hidden_sizes=[8, 4]), 0))
+        worlds[size] = out, peak
+    return worlds
+
+
+class TestCommandMemory:
+    """On a world 10x as large, no command peaks at 1.5x the small world's:
+    none holds a role."""
+
+    def test_synthgen(self, memory_worlds):
+        small, large = (memory_worlds[size][1] for size in MEMORY_SPEAKERS)
+        assert large < 1.5 * small, (small, large)
+
+    def test_eval(self, tmp_path, memory_worlds):
+        self.check(tmp_path, memory_worlds, cmd_eval, lambda world: {
+            "eval.manifest": world / "test" / "manifest.csv",
+            "eval.checkpoint": world / "checkpoint.f0md"})
+
+    @pytest.mark.parametrize("method", ["synthesis", "shift_scale"])
+    def test_anonymize(self, tmp_path, memory_worlds, method):
+        self.check(tmp_path, memory_worlds, cmd_anonymize, lambda world: {
+            "anonymize.manifest": world / "test" / "manifest.csv",
+            "anonymize.pool": world / "pool.csv",
+            "anonymize.checkpoint": world / "checkpoint.f0md",
+            "anonymize.method": method, "anonymize.n": 1, "anonymize.k": 1})
+
+    @staticmethod
+    def check(tmp_path, memory_worlds, body, values):
+        small, large = (traced_peak(body, config_for(tmp_path / size,
+                                                     **values(memory_worlds[size][0])))
+                        for size in MEMORY_SPEAKERS)
+        assert large < 1.5 * small, (small, large)
 
 
 class TestCsvOutputs:

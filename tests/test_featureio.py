@@ -19,10 +19,12 @@ from f0synth.featureio import (
     build_frame_table,
     compute_norm_stats,
     is_csv_field,
+    iter_manifest,
     load_manifest,
     pack_header,
     read_csv,
     read_feature_file,
+    reread_bn,
     unpack_header,
     write_csv,
     write_dataset,
@@ -491,6 +493,57 @@ class TestManifest:
             manifest.write_text(text.replace(edit[0], edit[1]))
         with pytest.raises(FormatError, match=f"manifest.csv:3: .*{re.escape(words)}"):
             load_manifest(manifest)
+
+
+class TestStreamedManifest:
+    def test_rows_before_a_bad_row_are_yielded_first(self, tmp_path):
+        manifest = write_dataset(Dataset([make_utt("u0"), make_utt("u1"), make_utt("u2")]),
+                                 tmp_path)
+        (tmp_path / "features" / "u2.bn").unlink()
+        rows = iter_manifest(manifest)
+        assert [next(rows).utt_id, next(rows).utt_id] == ["u0", "u1"]
+        with pytest.raises(FileNotFoundError, match=re.escape(f"{manifest}:4: missing")):
+            next(rows)
+
+    def test_no_rows_raise_on_the_first_next(self, tmp_path):
+        manifest = write_csv(tmp_path / "manifest.csv", featureio.MANIFEST_COLUMNS, [])
+        rows = iter_manifest(manifest)
+        with pytest.raises(FormatError, match="empty dataset, the manifest has no rows"):
+            next(rows)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_write_from_an_iterable_that_raises_removes_what_it_wrote(self, tmp_path,
+                                                                      existing):
+        out = tmp_path / "role"
+        if existing:
+            (out / "features").mkdir(parents=True)
+            (out / "features" / "notes.txt").write_text("kept\n")
+
+        def utterances():
+            yield make_utt("u0")
+            assert len(list((out / "features").glob("u0.*"))) == 3
+            yield make_utt("u1")
+            raise ValueError("the third utterance fails")
+
+        with pytest.raises(ValueError, match="the third utterance fails"):
+            write_dataset(utterances(), out)
+        if existing:
+            assert [p.name for p in out.rglob("*")] == ["features", "notes.txt"]
+        else:
+            assert not out.exists()
+
+    def test_reread_bn_gives_the_first_read_and_names_a_changed_row(self, tmp_path):
+        manifest = write_dataset(Dataset([make_utt("u0"), make_utt("u1")]), tmp_path)
+        utterances = list(iter_manifest(manifest))
+        records = [utt.without_bn() for utt in utterances]
+        for utt, bn in zip(utterances, reread_bn(manifest, records, 2)):
+            assert np.array_equal(bn, utt.bn)
+        write_feature_file(tmp_path / "features" / "u1.bn", np.zeros((2, 2), dtype=np.float32))
+        bns = reread_bn(manifest, records, 2)
+        next(bns)
+        with pytest.raises(FormatError, match=re.escape(
+                f"{manifest}:3: utterance 'u1' changed since it was first read")):
+            next(bns)
 
 
 class TestFrameTable:

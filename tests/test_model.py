@@ -491,6 +491,17 @@ class TestPredictF0:
         f0, _ = predict_f0(params, np.array([[5.0, 4.0]]))
         assert f0[0] == pytest.approx(100.0 * np.e)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_on_a_voiced_frame_and_is_masked_on_an_unvoiced_one(self):
+        # exp(1000) overflows float64; NormStats accepts the finite mean
+        norm = NormStats(np.zeros(2), np.ones(2), 1000.0, 1.0)
+        params, feats = self.make_fixed_output_params([0.0, 0.0], [-1.0, 2.0], norm)
+        with pytest.raises(ValueError, match=r"predicted F0 overflows float64 "
+                           r"\(log-F0 mean 1000, std 1\)"):
+            predict_f0(params, feats)
+        f0, _ = predict_f0(params, feats[:1])
+        assert f0.tolist() == [0.0]
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
