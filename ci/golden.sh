@@ -14,7 +14,11 @@
 #   6. eval on a checkpoint whose dropout field is 0.9 exits 1, names the
 #      file and writes nothing.
 #   7. eval on the test manifest with its rows reversed gives the same
-#      metrics.csv bytes.
+#      metrics.csv bytes;
+#   8. synthesis anonymize rerun into a copy of run/anon_synthesis, with a
+#      checkpoint whose log-F0 mean is 1000, exits 1, names the checkpoint
+#      and leaves the copy as it was: a failure before the first write
+#      leaves an existing output set whole.
 # Last it compares the outputs with ci/golden/quickstart.json: the digest of
 # the sha256sum listing of every file under world/ and run/, and the hashes
 # of both checkpoints and histories.  That record names the machine it was
@@ -128,6 +132,26 @@ fi
 f0synth eval --out-dir eval_rev --set eval.manifest=rev/manifest.csv \
   --set eval.checkpoint=run/checkpoint.f0md > /dev/null
 cmp run/eval/metrics.csv eval_rev/metrics.csv
+
+# 8. The log-F0 mean follows the dropout field and the input means and stds;
+# 1000 as a little-endian double.
+cp -r run/anon_synthesis anon_rerun
+cp run/checkpoint.f0md big_f0.f0md
+input_dim=$(od -An -tu4 -j12 -N4 big_f0.f0md)
+printf '\x00\x00\x00\x00\x00\x40\x8f\x40' |
+  dd of=big_f0.f0md bs=1 seek=$((16 + 4 * n_layers + 8 + 16 * input_dim)) conv=notrunc \
+    status=none
+status=0
+f0synth anonymize --out-dir anon_rerun "${anonymize[@]}" \
+  --set anonymize.checkpoint=big_f0.f0md \
+  --set anonymize.manifest=world/test/manifest.csv > /dev/null 2> anon_rerun.err || status=$?
+if [ "$status" != 1 ] || ! grep -qF "error: big_f0.f0md: utterance" anon_rerun.err \
+    || ! diff -r run/anon_synthesis anon_rerun; then
+  cat anon_rerun.err
+  echo "anonymize on big_f0.f0md exited $status: it must exit 1, name the file and leave" \
+    "anon_rerun as it was"
+  exit 1
+fi
 
 find world run -type f | sort | xargs sha256sum > listing.txt
 sha256sum {run,dropout}/checkpoint.f0md {run,dropout}/history.csv > files.txt

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .featureio import (Gender, at_row, check_id, group_by_speaker, read_csv,
-                        read_feature_file, write_csv, write_feature_file)
+                        read_feature_file, removed_on_failure, write_csv, write_feature_file)
 
 POOL_COLUMNS = ("speaker_id", "gender", "xvec_path", "f0_mean", "f0_std")
 DEFAULT_N_FURTHEST = 200
@@ -255,16 +255,23 @@ def assemble_synthesis_inputs(
 # pool files
 # ---------------------------------------------------------------------------
 
-def write_pool(pool: SpeakerPool, out_dir: str | Path) -> Path:
-    """Write a pool CSV plus per-speaker embedding files under ``out_dir``."""
+def write_pool(pool: SpeakerPool, out_dir: str | Path, written: list | None = None) -> Path:
+    """Write a pool CSV plus per-speaker embedding files under ``out_dir``.
+
+    A write that raises leaves none of them, as in ``featureio.write_dataset``.
+    """
     out_dir = Path(out_dir)
-    (out_dir / "pool_xvecs").mkdir(parents=True, exist_ok=True)
     rows = []
-    for e in pool.entries:
-        rel = f"pool_xvecs/{e.speaker_id}.xvec"
-        write_feature_file(f"{out_dir}/{rel}", e.xvec)
-        rows.append([e.speaker_id, e.gender.value, rel, f"{e.f0_mean:.17g}", f"{e.f0_std:.17g}"])
-    return write_csv(out_dir / "pool.csv", POOL_COLUMNS, rows)
+    with removed_on_failure([out_dir / "pool_xvecs"], written) as written:
+        (out_dir / "pool_xvecs").mkdir(parents=True, exist_ok=True)
+        for e in pool.entries:
+            rel = f"pool_xvecs/{e.speaker_id}.xvec"
+            written.append(f"{out_dir}/{rel}")
+            write_feature_file(written[-1], e.xvec)
+            rows.append([e.speaker_id, e.gender.value, rel, f"{e.f0_mean:.17g}",
+                         f"{e.f0_std:.17g}"])
+        written.append(out_dir / "pool.csv")
+        return write_csv(out_dir / "pool.csv", POOL_COLUMNS, rows)
 
 
 def load_pool(path: str | Path) -> SpeakerPool:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import shutil
 import sys
 import time
 from dataclasses import MISSING, dataclass
@@ -47,8 +46,8 @@ from .featureio import (
     iter_manifest,
     load_manifest,
     read_text,
+    removed_on_failure,
     reread_bn,
-    remove_dataset,
     write_csv,
     write_dataset,
     write_feature_file,
@@ -227,17 +226,6 @@ def predict_utterance(params, checkpoint: str, utt_id: str, features):
         raise ValueError(f"{checkpoint}: utterance {utt_id!r}: {exc}") from None
 
 
-def new_directories(*paths: Path) -> set[Path]:
-    """The outermost directory on the way to each of ``paths`` that does not exist yet."""
-    return {new[-1] for path in paths
-            if (new := [d for d in (path, *path.parents) if not d.exists()])}
-
-
-def remove_directories(made: set[Path]) -> None:
-    for directory in made:
-        shutil.rmtree(directory, ignore_errors=True)
-
-
 def load_validation(path: str, width: int) -> Dataset:
     """Load a validation manifest that has frames, of the train table's d_xv + d_bn ``width``."""
     dataset = load_manifest(path)
@@ -256,28 +244,22 @@ def cmd_synthgen(config: RunConfig) -> dict:
     manifests: dict[str, Path] = {}
     # Each walk block's files are written as it is drawn, so one block is
     # alive at a time; the pool keeps each train utterance's xvec and voiced
-    # F0.  A failure (a block whose F0 overflows, a full disk) removes the
-    # files of its role written so far, the roles before it and the
-    # directories this call made, so a world that fails leaves no files.
-    made = new_directories(out_dir)
+    # F0.  One guard covers the three roles and the pool: a world that fails
+    # (a block whose F0 overflows, a full disk) leaves none of its files.
     kept: list[UtteranceF0] = []
-    try:
+    directories = [out_dir / "pool_xvecs",
+                   *(out_dir / role / "features" for role in DATASET_ROLES)]
+    with removed_on_failure(directories) as written:
         for role in DATASET_ROLES:
             utterances = iter_synthetic_dataset(spec, role)
             if role == "train":
                 utterances = kept_for_pool(utterances, kept)
-            manifests[role] = write_dataset(utterances, out_dir / role)
-        pool = anon.pool_from_dataset(kept)
-    except BaseException:
-        for manifest in manifests.values():
-            remove_dataset(manifest)
-        remove_directories(made)
-        raise
+            manifests[role] = write_dataset(utterances, out_dir / role, written)
+        pool_path = anon.write_pool(anon.pool_from_dataset(kept), out_dir, written)
     n_utts = 2 * spec.n_speakers_per_gender * spec.utts_per_speaker
     for role, manifest in manifests.items():
         print(f"{role}: {manifest} ({n_utts} utterances, "
               f"{n_utts * spec.frames_per_utt} frames)")
-    pool_path = anon.write_pool(pool, out_dir)
     print(f"pool: {pool_path} ({2 * spec.n_speakers_per_gender} speakers)")
     return {"manifests": manifests, "pool": pool_path}
 
@@ -304,18 +286,15 @@ def cmd_train(config: RunConfig) -> dict:
         raise ValueError(f"{train_manifest}: the train manifest has no voiced frames")
     model_config = section_config(config, "model", input_dim=table.rows.shape[1])
     validation = [load_validation(val_manifest, table.rows.shape[1])]
-    # A training that raises (an overflow, an interrupt) removes the
-    # directories this call made; an out_dir that existed stays as it was.
-    made = new_directories(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    # The outputs are listed only once training returns, so a training that
+    # raises (an overflow, an interrupt) leaves an out_dir that existed as it was.
+    checkpoint, history_path = out_dir / "checkpoint.f0md", out_dir / "history.csv"
+    with removed_on_failure([out_dir]) as written:
+        out_dir.mkdir(parents=True, exist_ok=True)
         params, history = train(table, validation.pop(), model_config, train_config)
-    except BaseException:
-        remove_directories(made)
-        raise
-    checkpoint = out_dir / "checkpoint.f0md"
-    save_checkpoint(checkpoint, params, dropout=model_config.dropout)
-    history_path = write_csv(out_dir / "history.csv", HISTORY_COLUMNS, history.csv_rows())
+        written += [checkpoint, history_path]
+        save_checkpoint(checkpoint, params, dropout=model_config.dropout)
+        write_csv(history_path, HISTORY_COLUMNS, history.csv_rows())
     best = history.best_val_metric
     print(f"checkpoint: {checkpoint}")
     print(f"history: {history_path} ({len(history)} epochs)")
@@ -374,7 +353,9 @@ def cmd_eval(config: RunConfig) -> dict:
         report = pool_scores({k: scores[k] for k in ids})
         reports[sex] = report
         rows.append(report_csv_row(dataset_name, sex, report))
-    metrics_path = write_csv(out_dir / "metrics.csv", REPORT_COLUMNS, rows)
+    with removed_on_failure([out_dir]) as written:
+        written.append(out_dir / "metrics.csv")
+        metrics_path = write_csv(written[-1], REPORT_COLUMNS, rows)
     print(metrics_path.read_text(encoding="utf-8"), end="")
     print(f"metrics: {metrics_path}")
     return {"metrics": metrics_path, "reports": reports}
@@ -426,11 +407,6 @@ def cmd_anonymize(config: RunConfig) -> dict:
 
     f0_dir = out_dir / "f0_out"
     xvec_dir = out_dir / "xvec_out"
-    # A write loop that raises (an F0 that overflows, a bn file that
-    # changed) removes the directories this call made.
-    made = new_directories(f0_dir, xvec_dir)
-    f0_dir.mkdir(parents=True, exist_ok=True)
-    xvec_dir.mkdir(parents=True, exist_ok=True)
 
     log_rows = []
     rhos: dict[str, float | None] = {}
@@ -438,7 +414,11 @@ def cmd_anonymize(config: RunConfig) -> dict:
     synth_seconds = 0.0
     synth_frames = 0
     loop_start = time.perf_counter()
-    try:
+    # A write loop that raises (an F0 that overflows, a bn file that
+    # changed, a full disk) leaves none of this call's files.
+    with removed_on_failure([f0_dir, xvec_dir]) as written:
+        f0_dir.mkdir(parents=True, exist_ok=True)
+        xvec_dir.mkdir(parents=True, exist_ok=True)
         bns = reread_bn(manifest, sources, bn_width) if method == "synthesis" else None
         for utt, pseudo in zip(sources, pseudos):
             synth_xvec, export_xvec = anon.assemble_synthesis_inputs(mode, utt.xvec, pseudo)
@@ -450,8 +430,10 @@ def cmd_anonymize(config: RunConfig) -> dict:
                 synth_frames += utt.n_frames
             else:
                 f0_out = anon.shift_scale_f0(utt.f0, src_stats[utt.speaker_id], pseudo.stats)
-            write_feature_file(f"{f0_dir}/{utt.utt_id}.f0", f0_out)
-            write_feature_file(f"{xvec_dir}/{utt.utt_id}.xvec", export_xvec)
+            written.append(f"{f0_dir}/{utt.utt_id}.f0")
+            write_feature_file(written[-1], f0_out)
+            written.append(f"{xvec_dir}/{utt.utt_id}.xvec")
+            write_feature_file(written[-1], export_xvec)
             rho = pitch_correlation(utt.f0, f0_out)
             rhos[utt.utt_id] = rho
             if rho is None or rho < RHO_FLAG_THRESHOLD:
@@ -462,10 +444,8 @@ def cmd_anonymize(config: RunConfig) -> dict:
             log_rows.append([utt.utt_id, mode.value, ";".join(pseudo.chosen_ids),
                              f"{pseudo.stats.mean:.10g}", f"{pseudo.stats.std:.10g}"])
         loop_seconds = time.perf_counter() - loop_start
-        log_path = write_csv(out_dir / "anon_log.csv", ANON_LOG_COLUMNS, log_rows)
-    except BaseException:
-        remove_directories(made)
-        raise
+        written.append(out_dir / "anon_log.csv")
+        log_path = write_csv(written[-1], ANON_LOG_COLUMNS, log_rows)
 
     frames_per_second = synth_frames / synth_seconds if synth_seconds > 0 else None
     loop_frames_per_second = sum(u.n_frames for u in sources) / loop_seconds

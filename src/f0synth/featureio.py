@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 import struct
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
@@ -438,49 +439,55 @@ def load_manifest(path: str | Path) -> Dataset:
     return Dataset(list(iter_manifest(path)))
 
 
-def write_dataset(utterances: Iterable[Utterance], out_dir: str | Path) -> Path:
+@contextmanager
+def removed_on_failure(directories: Iterable[Path], written: list | None = None):
+    """Yield ``written`` (a new list if None), to which the body adds each file
+    just before writing it.  If the body raises (any ``BaseException``), the
+    listed files are removed, ignoring those never made, then the outermost
+    directory on the way to each of ``directories`` that did not exist on
+    entry, and the error goes on.  An existing directory keeps every file not
+    listed; an inner guard given an outer one's list also removes its files.
+    """
+    made = {new[-1] for directory in directories
+            if (new := [d for d in (directory, *directory.parents) if not d.exists()])}
+    written = [] if written is None else written
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            with suppress(OSError):  # never made, or through a file: the body's error wins
+                os.remove(path)
+        for directory in made:
+            shutil.rmtree(directory, ignore_errors=True)
+        raise
+
+
+def write_dataset(utterances: Iterable[Utterance], out_dir: str | Path,
+                  written: list | None = None) -> Path:
     """Write each utterance's feature files as it comes, then a manifest, under ``out_dir``.
 
     ``utterances`` is a ``Dataset`` or any iterable of utterances, checked
     against the ``Dataset`` rules as they come.  Returns the manifest path.
     Feature files land in ``out_dir/features/`` and the manifest references
     them relatively, so the tree is relocatable.  If the iterable or a write
-    raises, the files written here are removed, then ``features/`` and
-    ``out_dir`` if left empty.
+    raises, ``removed_on_failure`` over ``features/`` removes the files on
+    ``written`` (the caller's guard's list when given, else this call's) and
+    the directories this call made.
     """
     out_dir = Path(out_dir)
-    (out_dir / "features").mkdir(parents=True, exist_ok=True)
     rules = DatasetRules()
     rows = []
-    try:
+    with removed_on_failure([out_dir / "features"], written) as written:
+        (out_dir / "features").mkdir(parents=True, exist_ok=True)
         for utt in utterances:
             rules.check(utt)
             rel = [f"features/{utt.utt_id}.{kind}" for kind in ("f0", "bn", "xvec")]
-            # The row goes first, so that a file a failed write began is removed too.
             rows.append([utt.utt_id, utt.speaker_id, utt.gender.value, *rel])
             for name, values in zip(rel, (utt.f0, utt.bn, utt.xvec)):
-                write_feature_file(f"{out_dir}/{name}", values)
+                written.append(f"{out_dir}/{name}")
+                write_feature_file(written[-1], values)
+        written.append(out_dir / "manifest.csv")
         return write_csv(out_dir / "manifest.csv", MANIFEST_COLUMNS, rows)
-    except BaseException:
-        remove_files(out_dir, [f"{out_dir}/{name}" for row in rows for name in row[3:]])
-        raise
-
-
-def remove_dataset(manifest: Path) -> None:
-    """Undo ``write_dataset``: remove the manifest and the feature files it
-    names, then ``features/`` and the manifest's directory if left empty."""
-    remove_files(manifest.parent, [path for _, fields in manifest_rows(manifest)
-                                   for path in fields[3:]] + [manifest])
-
-
-def remove_files(directory: Path, paths: list) -> None:
-    """Remove ``paths`` that exist, then ``directory/features`` and ``directory`` if empty."""
-    for path in paths:
-        with suppress(FileNotFoundError):
-            os.remove(path)
-    for path in (directory / "features", directory):
-        with suppress(OSError):
-            path.rmdir()
 
 # ---------------------------------------------------------------------------
 # frame tables and normalization statistics

@@ -38,6 +38,7 @@ from f0synth.featureio import (
     load_manifest,
     read_csv,
     read_feature_file,
+    write_csv,
     write_dataset,
     write_feature_file,
 )
@@ -152,6 +153,12 @@ def tree_hash(root: Path) -> str:
             digest.update(str(path.relative_to(root)).encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def write_csv_then_fail(path, columns, rows):
+    """``write_csv`` whose file is made, then fails as a full disk can on close."""
+    write_csv(path, columns, rows)
+    raise OSError(28, "No space left on device", str(path))
 
 
 class TestConfigParsing:
@@ -419,10 +426,13 @@ class TestSynthgenCommand:
             assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("module, fails_at, blocks", [
+        ("featureio", 37, 5),  # the 5th train block's first file
+        ("anonymize", 2, 18),  # the pool's second file, after the three roles
+    ])
     def test_write_failing_in_a_later_train_block_removes_what_it_wrote(
-            self, tmp_path, monkeypatch, existing):
-        # One speaker's 3 utterances a block: the train role is 6 blocks, and
-        # the 37th file written is the 5th block's first.
+            self, tmp_path, monkeypatch, existing, module, fails_at, blocks):
+        # One speaker's 3 utterances a block: each role is 6 blocks.
         monkeypatch.setattr(synthgen, "WALK_BLOCK_VALUES", 1)
         drawn = []
         block_walks = synthgen._block_walks
@@ -431,12 +441,12 @@ class TestSynthgenCommand:
         written = []
 
         def failing_write(path, values):
-            if len(written) == 36:
+            if len(written) == fails_at - 1:
                 raise OSError(28, "No space left on device", path)
             write_feature_file(path, values)
             written.append(path)
 
-        monkeypatch.setattr("f0synth.featureio.write_feature_file", failing_write)
+        monkeypatch.setattr(f"f0synth.{module}.write_feature_file", failing_write)
         out = tmp_path / "new" / "w"
         if existing:
             out.mkdir(parents=True)
@@ -446,7 +456,7 @@ class TestSynthgenCommand:
                             for arg in ("--set", f"{key}={value}"))])
         assert result.exit_code == 1
         assert result.output.startswith("error: [Errno 28] No space left on device")
-        assert drawn == [3] * 5, "each block's files are written before the next is drawn"
+        assert drawn == [3] * blocks, "each block is written before the next is drawn"
         if existing:
             assert [p.name for p in out.iterdir()] == ["notes.txt"]
         else:
@@ -527,6 +537,40 @@ class TestTrainCommand:
         assert result.output.startswith("error: epoch 1 (train.alpha 28.112, train.lr 1e+308): ")
         assert [p.name for p in kept.iterdir()] == ["notes.txt"]
         assert (kept / "notes.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_history_write_removes_what_it_wrote(self, tmp_path, world_dir, monkeypatch,
+                                                        existing):
+        monkeypatch.setattr("f0synth.cli.write_csv", write_csv_then_fail)
+        out = tmp_path / "new" / "run"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept\n")
+        result = run_cli([
+            "train", "--out-dir", str(out),
+            "--set", f"train.manifest={world_dir / 'train' / 'manifest.csv'}",
+            "--set", f"train.val_manifest={world_dir / 'validation' / 'manifest.csv'}",
+            "--set", "model.hidden_sizes=8", "--set", "train.max_epochs=1"])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: [Errno 28] No space left on device")
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    def test_training_that_raises_keeps_an_existing_run(self, tmp_path, world_dir, trained_dir):
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("checkpoint.f0md", "history.csv"):
+            (out / name).write_bytes((trained_dir / name).read_bytes())
+        result = run_cli([
+            "train", "--out-dir", str(out),
+            "--set", f"train.manifest={world_dir / 'train' / 'manifest.csv'}",
+            "--set", f"train.val_manifest={world_dir / 'validation' / 'manifest.csv'}",
+            "--set", "model.hidden_sizes=24,12", "--set", "train.lr=1e308"])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: epoch 1 ")
+        assert tree_hash(out) == tree_hash(trained_dir)
 
     def test_file_as_out_dir_fails_before_training(self, tmp_path, world_dir, monkeypatch):
         blocker = tmp_path / "blocked"
@@ -733,6 +777,16 @@ class TestEvalCommand:
         assert result.output.startswith(f"error: {ckpt}: utterance '{first}': predicted F0 "
                                         f"overflows float64 (log-F0 mean 1000, std ")
         assert not out.exists()
+
+    def test_failed_metrics_write_leaves_no_out_dir(self, tmp_path, world_dir, trained_dir,
+                                                    monkeypatch):
+        monkeypatch.setattr("f0synth.cli.write_csv", write_csv_then_fail)
+        config = config_for(tmp_path / "new" / "eval",
+                            **{"eval.manifest": world_dir / "test" / "manifest.csv",
+                               "eval.checkpoint": trained_dir / "checkpoint.f0md"})
+        with pytest.raises(OSError, match="No space left on device"):
+            cmd_eval(config)
+        assert list(tmp_path.iterdir()) == []
 
     def test_checkpoint_width_mismatch_rejected(self, tmp_path, world_dir):
         ckpt = tmp_path / "narrow.f0md"
@@ -1032,6 +1086,28 @@ class TestAnonymizeCommand:
             assert [p.name for p in out.iterdir()] == ["notes.txt"]
         else:
             assert not (tmp_path / "new").exists()
+
+    def test_failed_rerun_leaves_no_file_it_wrote(self, tmp_path, world_dir, monkeypatch):
+        out = tmp_path / "anon"
+        config = anon_config(out, world_dir, **{"anonymize.method": "shift_scale"})
+        cmd_anonymize(config)
+        first = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        begun = []
+
+        def failing_write(path, values):
+            begun.append(Path(path))
+            if len(begun) == 6:
+                raise OSError(28, "No space left on device", path)
+            write_feature_file(path, values)
+
+        monkeypatch.setattr("f0synth.cli.write_feature_file", failing_write)
+        with pytest.raises(OSError, match="No space left on device"):
+            cmd_anonymize(config)
+        # 3 .f0 and 2 .xvec files written, and the 6th write begun
+        assert [p.suffix for p in begun] == [".f0", ".xvec"] * 3
+        assert not any(path.exists() for path in begun)
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == {
+            path: data for path, data in first.items() if path not in begun}
 
     def test_pool_too_small_fails(self, tmp_path, world_dir, trained_dir):
         with pytest.raises(ValueError, match="need n"):

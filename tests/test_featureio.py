@@ -24,6 +24,7 @@ from f0synth.featureio import (
     pack_header,
     read_csv,
     read_feature_file,
+    removed_on_failure,
     reread_bn,
     unpack_header,
     write_csv,
@@ -511,11 +512,13 @@ class TestStreamedManifest:
         with pytest.raises(FormatError, match="empty dataset, the manifest has no rows"):
             next(rows)
 
-    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("existing", ["none", "empty", "notes"])
     def test_write_from_an_iterable_that_raises_removes_what_it_wrote(self, tmp_path,
                                                                       existing):
         out = tmp_path / "role"
-        if existing:
+        if existing == "empty":
+            out.mkdir()
+        if existing == "notes":
             (out / "features").mkdir(parents=True)
             (out / "features" / "notes.txt").write_text("kept\n")
 
@@ -527,10 +530,12 @@ class TestStreamedManifest:
 
         with pytest.raises(ValueError, match="the third utterance fails"):
             write_dataset(utterances(), out)
-        if existing:
-            assert [p.name for p in out.rglob("*")] == ["features", "notes.txt"]
-        else:
+        if existing == "none":
             assert not out.exists()
+        else:
+            left = {"empty": [], "notes": ["features", "notes.txt"]}[existing]
+            assert out.is_dir() and [p.name for p in out.rglob("*")] == left
+
 
     def test_reread_bn_gives_the_first_read_and_names_a_changed_row(self, tmp_path):
         manifest = write_dataset(Dataset([make_utt("u0"), make_utt("u1")]), tmp_path)
@@ -544,6 +549,50 @@ class TestStreamedManifest:
         with pytest.raises(FormatError, match=re.escape(
                 f"{manifest}:3: utterance 'u1' changed since it was first read")):
             next(bns)
+
+
+class TestRemovedOnFailure:
+    def test_an_interrupt_removes_the_listed_files_and_the_directories_made(self, tmp_path):
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("kept\n")
+        with pytest.raises(KeyboardInterrupt):
+            with removed_on_failure([kept, tmp_path / "new" / "deep"]) as written:
+                (tmp_path / "new" / "deep").mkdir(parents=True)
+                for path in (kept / "a.f0", tmp_path / "new" / "deep" / "b.f0"):
+                    written.append(path)
+                    path.write_text("written\n")
+                raise KeyboardInterrupt
+        assert [p.name for p in tmp_path.rglob("*")] == ["kept", "notes.txt"]
+
+    @pytest.mark.parametrize("never_written", ["missing.f0", "notes.txt/a.f0", "."])
+    def test_a_path_never_written_does_not_hide_the_error(self, tmp_path, never_written):
+        (tmp_path / "notes.txt").write_text("kept\n")
+        with pytest.raises(ValueError, match="the body's error"):
+            with removed_on_failure([tmp_path]) as written:
+                written.append(tmp_path / never_written)
+                raise ValueError("the body's error")
+        assert (tmp_path / "notes.txt").read_text() == "kept\n"
+
+    def test_an_inner_guard_given_the_list_removes_the_outer_files_too(self, tmp_path):
+        with removed_on_failure([tmp_path]) as outer:
+            outer.append(tmp_path / "a.f0")
+            outer[-1].write_text("written\n")
+            with pytest.raises(OSError, match="No space left"):
+                with removed_on_failure([tmp_path / "sub"], outer) as inner:
+                    (tmp_path / "sub").mkdir()
+                    inner.append(tmp_path / "sub" / "b.f0")
+                    inner[-1].write_text("written\n")
+                    raise OSError(28, "No space left on device")
+            assert list(tmp_path.iterdir()) == []
+
+    def test_success_removes_nothing(self, tmp_path):
+        with removed_on_failure([tmp_path / "new"]) as written:
+            (tmp_path / "new").mkdir()
+            written.append(tmp_path / "new" / "a.f0")
+            written[-1].write_text("written\n")
+        assert written == [tmp_path / "new" / "a.f0"]
+        assert (tmp_path / "new" / "a.f0").read_text() == "written\n"
 
 
 class TestFrameTable:
